@@ -19,15 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import report as rpt
-from .consensus import ABSTAIN, ConsensusMethod, ensemble_accuracy, predict
+from .consensus import (ABSTAIN, DEFAULT_GAMMA, METHODS, ConsensusMethod,
+                        ensemble_accuracy, predict)
 from .diversity import MetricId, diversity_score
 from .errors import DivselError, EmptyNegativesError
-from .evaluation import evaluate_set, evaluate_teams, summarize
+from .evaluation import SetReport, evaluate_teams, summarize
 from .pool import CorrectnessMatrix, PredictionPool, correctness, load_pool, write_pool
-from .sampling import (DEFAULT_SAMPLE_SIZE, build_negative_set,
+from .sampling import (DEFAULT_SAMPLE_SIZE, SCHEMES, build_negative_set,
                        focal_negative_sets, negatives_any, sample_subset)
-from .selection import (DEFAULT_EQ_METRICS, FocalScoreTable, eq_fuse, fq_select,
-                        learn_fq_rules, load_rules, q_select, save_rules)
+from .selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, SelectedSet,
+                        check_rules, eq_fuse, fq_select, learn_fq_rules, load_rules,
+                        q_select, save_rules)
 from .synth import generate_pool, load_config
 from .teaming import CandidateSet, EnsembleTeam, enumerate_teams, parse_team
 
@@ -67,13 +69,12 @@ def _check_team(team, pool) -> None:
 
 def _consensus_method(args) -> ConsensusMethod:
     train = None
-    if getattr(args, "train_indices", None):
+    if args.train_indices:
         try:
             train = np.loadtxt(args.train_indices, dtype=np.int64, ndmin=1)
         except ValueError as exc:
             raise DivselError(f"bad train-indices file {args.train_indices}: {exc}")
-    return ConsensusMethod(kind=args.consensus, gamma=getattr(args, "gamma", -0.01),
-                           train_indices=train)
+    return ConsensusMethod(kind=args.consensus, gamma=args.gamma, train_indices=train)
 
 
 def _fq_pipeline(metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
@@ -96,7 +97,10 @@ def _select(args, cands: CandidateSet, corr: CorrectnessMatrix):
         return selected, [rule]
     if args.method == "fq":
         metric = MetricId.parse(args.metric)
-        rules_in = load_rules(args.rules_in) if getattr(args, "rules_in", None) else None
+        rules_in = None
+        if getattr(args, "rules_in", None):
+            rules_in = load_rules(args.rules_in)
+            check_rules(rules_in, metric, cands.pool_size)
         rules, selected = _fq_pipeline(metric, cands, corr, args.sample_size,
                                        args.seed, args.fq_mode, rules=rules_in)
         return selected, rules
@@ -197,20 +201,31 @@ def cmd_consensus(args) -> int:
     return 0
 
 
+def _evaluate_reports(cands: CandidateSet, selected: SelectedSet, pool: PredictionPool,
+                      corr: CorrectnessMatrix, method: ConsensusMethod, threads: int,
+                      candidate_count: int) -> list[SetReport]:
+    """Baseline and selected-set reports from one evaluation of every candidate."""
+    if selected.pool_size != cands.pool_size:
+        raise DivselError(f"selected set is for a pool of {selected.pool_size} models, "
+                          f"but the pool has {cands.pool_size}")
+    position = {t: i for i, t in enumerate(cands.teams)}
+    foreign = [t.key for t in selected.teams if t not in position]
+    if foreign:
+        raise DivselError(f"selected team {foreign[0]} is not a candidate of this pool")
+    evals = evaluate_teams(cands.teams, pool, corr, method, threads=threads)
+    p_max = float(corr.accuracies.max())
+    return [summarize("baseline", evals, len(cands), p_max),
+            summarize(selected.method, [evals[position[t]] for t in selected.teams],
+                      candidate_count, p_max)]
+
+
 def cmd_report(args) -> int:
     pool, corr = _load(args)
     selected = rpt.load_selected_set(getattr(args, "in"))
     method = _consensus_method(args)
-    cache: dict = {}
     cands = enumerate_teams(pool.num_models)
-    baseline = evaluate_set(cands.teams, pool, corr, method, "baseline",
-                            candidate_count=len(cands), threads=args.threads,
-                            cache=cache)
-    chosen = evaluate_set(selected.teams, pool, corr, method, selected.method,
-                          candidate_count=selected.candidate_count,
-                          threads=args.threads, cache=cache)
-    reports = [baseline, chosen]
-    _emit_reports(reports, args)
+    _emit_reports(_evaluate_reports(cands, selected, pool, corr, method, args.threads,
+                                    selected.candidate_count), args)
     return 0
 
 
@@ -231,13 +246,8 @@ def cmd_recommend(args) -> int:
     cands = enumerate_teams(pool.num_models, args.team_size)
     selected, _rules = _select(args, cands, corr)
     method = _consensus_method(args)
-    cache: dict = {}
-    baseline = evaluate_set(cands.teams, pool, corr, method, "baseline",
-                            candidate_count=len(cands), threads=args.threads,
-                            cache=cache)
-    chosen = evaluate_set(selected.teams, pool, corr, method, selected.method,
-                          candidate_count=len(cands), threads=args.threads,
-                          cache=cache)
+    reports = _evaluate_reports(cands, selected, pool, corr, method, args.threads,
+                                len(cands))
     extra = {
         "dataset": pool.dataset_name,
         "pool_size": pool.num_models,
@@ -245,7 +255,7 @@ def cmd_recommend(args) -> int:
         "consensus": method.kind,
         "selection": rpt.selected_set_to_dict(selected),
     }
-    _emit_reports([baseline, chosen], args, extra=extra)
+    _emit_reports(reports, args, extra=extra)
     return 0
 
 
@@ -311,7 +321,7 @@ def _add_pool_arg(p):
 
 
 def _add_sampling_args(p):
-    p.add_argument("--sampling", choices=["any", "all", "focal"], default="any",
+    p.add_argument("--sampling", choices=SCHEMES, default="any",
                    help="negative-sample scheme (default any)")
     p.add_argument("--focal", type=int, default=None,
                    help="focal model id (for --sampling focal)")
@@ -321,11 +331,10 @@ def _add_sampling_args(p):
 
 
 def _add_consensus_args(p):
-    p.add_argument("--consensus", choices=["soft", "majority", "plurality",
-                                           "boosting"], default="soft",
+    p.add_argument("--consensus", choices=METHODS, default="soft",
                    help="consensus method for accuracy (default soft)")
-    p.add_argument("--gamma", type=float, default=-0.01,
-                   help="boosting penalty exponent (default -0.01)")
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+                   help=f"boosting penalty exponent (default {DEFAULT_GAMMA})")
     p.add_argument("--train-indices", default=None,
                    help="file of sample indices for boosting weight training")
 
@@ -341,7 +350,7 @@ def _add_select_args(p):
     p.add_argument("--metric", type=str.lower, default="gd",
                    choices=[m.value for m in MetricId],
                    help="diversity metric (default gd)")
-    p.add_argument("--fq-mode", choices=["all", "any", "majority"], default="all",
+    p.add_argument("--fq-mode", choices=FQ_MODES, default="all",
                    help="how member-focal keep votes combine (default all)")
     p.add_argument("--eq-metrics",
                    default=",".join(m.value for m in DEFAULT_EQ_METRICS),
@@ -391,9 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("consensus", help="run one consensus method on one team")
     _add_pool_arg(p)
     p.add_argument("--team", required=True)
-    p.add_argument("--method", dest="consensus", required=True,
-                   choices=["soft", "majority", "plurality", "boosting"])
-    p.add_argument("--gamma", type=float, default=-0.01)
+    p.add_argument("--method", dest="consensus", required=True, choices=METHODS)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--train-indices", default=None)
     _add_output_args(p, formats=("json", "table"))
     p.set_defaults(func=cmd_consensus)

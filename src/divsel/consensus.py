@@ -29,17 +29,17 @@ class ConsensusMethod:
 
     kind: str
     gamma: float = DEFAULT_GAMMA
-    train_indices: np.ndarray | None = None
+    train_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in METHODS:
             raise ValueError(f"unknown consensus method {self.kind!r}")
         if self.kind == "boosting" and self.gamma >= 0:
             raise DivselError(f"boosting penalty must be negative, got {self.gamma}")
-
-    @property
-    def label(self) -> str:
-        return self.kind
+        if self.train_indices is not None:
+            # a tuple keeps the frozen method comparable and hashable
+            indices = np.asarray(self.train_indices, dtype=np.int64)
+            object.__setattr__(self, "train_indices", tuple(indices.tolist()))
 
 
 @dataclass(frozen=True)

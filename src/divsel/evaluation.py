@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import ConsensusMethod, ensemble_accuracy, predict
-from .diversity import DiversityScore
 from .parallel import parallel_map
 from .pool import CorrectnessMatrix, PredictionPool
 from .teaming import EnsembleTeam
@@ -30,7 +29,6 @@ class TeamEvaluation:
     improvement: float
     beats_members: bool
     beats_pool: bool
-    diversity: DiversityScore | None = None
 
 
 @dataclass(frozen=True)
@@ -59,11 +57,9 @@ class SetReport:
 
 
 def evaluate_team(team: EnsembleTeam, pool: PredictionPool, corr: CorrectnessMatrix,
-                  method: ConsensusMethod, accuracy: float | None = None,
-                  diversity: DiversityScore | None = None) -> TeamEvaluation:
-    """Evaluate one team; ``accuracy`` may be passed to reuse a cached value."""
-    if accuracy is None:
-        accuracy = ensemble_accuracy(predict(team, pool, method), pool.labels)
+                  method: ConsensusMethod) -> TeamEvaluation:
+    """Consensus accuracy of one team, compared with its best member and the pool."""
+    accuracy = ensemble_accuracy(predict(team, pool, method), pool.labels)
     member_accs = corr.accuracies[np.asarray(team.members)]
     best_pos = int(member_accs.argmax())
     m_max = float(member_accs[best_pos])
@@ -77,37 +73,14 @@ def evaluate_team(team: EnsembleTeam, pool: PredictionPool, corr: CorrectnessMat
         improvement=accuracy - m_max,
         beats_members=accuracy >= m_max,
         beats_pool=accuracy >= p_max,
-        diversity=diversity,
     )
 
 
-def team_accuracies(teams, pool: PredictionPool, method: ConsensusMethod,
-                    threads: int = 1,
-                    cache: dict | None = None) -> list[float]:
-    """Consensus accuracy per team, optionally cached across calls."""
-    teams = list(teams)
-    if cache is None:
-        cache = {}
-    missing = [t for t in teams if t.members not in cache]
-    if missing:
-        accs = parallel_map(
-            lambda t: ensemble_accuracy(predict(t, pool, method), pool.labels),
-            missing, threads=threads,
-        )
-        for t, a in zip(missing, accs):
-            cache[t.members] = a
-    return [cache[t.members] for t in teams]
-
-
 def evaluate_teams(teams, pool: PredictionPool, corr: CorrectnessMatrix,
-                   method: ConsensusMethod, threads: int = 1,
-                   cache: dict | None = None) -> list[TeamEvaluation]:
-    teams = list(teams)
-    accs = team_accuracies(teams, pool, method, threads=threads, cache=cache)
-    return [
-        evaluate_team(t, pool, corr, method, accuracy=a)
-        for t, a in zip(teams, accs)
-    ]
+                   method: ConsensusMethod, threads: int = 1) -> list[TeamEvaluation]:
+    """Evaluate each team once, in input order whatever the thread count."""
+    return parallel_map(lambda t: evaluate_team(t, pool, corr, method), teams,
+                        threads=threads)
 
 
 def summarize(method_label: str, evals, candidate_count: int,
@@ -150,11 +123,9 @@ def summarize(method_label: str, evals, candidate_count: int,
 
 def evaluate_set(teams, pool: PredictionPool, corr: CorrectnessMatrix,
                  method: ConsensusMethod, label: str,
-                 candidate_count: int | None = None, threads: int = 1,
-                 cache: dict | None = None) -> SetReport:
+                 candidate_count: int | None = None, threads: int = 1) -> SetReport:
     """Evaluate a team set end to end and aggregate it."""
-    teams = list(teams)
-    evals = evaluate_teams(teams, pool, corr, method, threads=threads, cache=cache)
+    evals = evaluate_teams(teams, pool, corr, method, threads=threads)
     return summarize(label, evals,
-                     candidate_count if candidate_count is not None else len(teams),
+                     candidate_count if candidate_count is not None else len(evals),
                      float(corr.accuracies.max()))

@@ -66,12 +66,6 @@ class PredictionPool:
     def num_models(self) -> int:
         return len(self.models)
 
-    def model(self, model_id: int) -> ModelRecord:
-        return self.models[model_id]
-
-    def members_have_probs(self, members) -> bool:
-        return all(self.models[i].has_probs for i in members)
-
 
 @dataclass(frozen=True)
 class CorrectnessMatrix:
@@ -191,6 +185,15 @@ def build_pool(dataset_name: str, num_classes: int, labels: np.ndarray,
     return PredictionPool(dataset_name, num_classes, labels, tuple(ordered))
 
 
+def _field(record: dict, key: str, kind: type, where: str):
+    """``record[key]``, which must be present and of type ``kind``."""
+    if key not in record:
+        raise PoolError(f"{where}: missing key {key!r}")
+    if not isinstance(record[key], kind):
+        raise PoolError(f"{where}: {key!r} must be {kind.__name__}, got {record[key]!r}")
+    return record[key]
+
+
 def load_pool(manifest_path: str | Path) -> PredictionPool:
     """Load and validate a prediction pool from a JSON manifest."""
     manifest_path = Path(manifest_path)
@@ -198,26 +201,30 @@ def load_pool(manifest_path: str | Path) -> PredictionPool:
         raise PoolError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise PoolError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
-    for key in ("dataset", "num_classes", "labels", "models"):
-        if key not in manifest:
-            raise PoolError(f"manifest {manifest_path}: missing key {key!r}")
+    where = f"manifest {manifest_path}"
+    if not isinstance(manifest, dict):
+        raise PoolError(f"{where}: expected a JSON object")
+    if "dataset" not in manifest:
+        raise PoolError(f"{where}: missing key 'dataset'")
     base = manifest_path.parent
-    num_classes = int(manifest["num_classes"])
+    num_classes = _field(manifest, "num_classes", int, where)
     if num_classes < 1:
-        raise PoolError(f"manifest {manifest_path}: num_classes must be positive")
+        raise PoolError(f"{where}: num_classes must be positive")
 
-    labels_path = base / manifest["labels"]
+    labels_path = base / _field(manifest, "labels", str, where)
     labels = _read_label_file(labels_path, "labels")
     _check_labels(labels, num_classes, labels_path, "labels")
     n = labels.shape[0]
 
     models: list[ModelRecord] = []
-    for entry in manifest["models"]:
-        mid = int(entry["id"])
+    for pos, entry in enumerate(_field(manifest, "models", list, where)):
+        if not isinstance(entry, dict):
+            raise PoolError(f"{where}: model entry {pos} is not an object")
+        mid = _field(entry, "id", int, f"{where}, model entry {pos}")
         name = str(entry.get("name", f"model_{mid}"))
-        pred_path = base / entry["pred_labels"]
+        pred_path = base / _field(entry, "pred_labels", str, f"{where}, model {mid}")
         preds = _read_label_file(pred_path, f"pred_labels of model {mid}")
         if preds.shape[0] != n:
             raise PoolError(
@@ -227,7 +234,7 @@ def load_pool(manifest_path: str | Path) -> PredictionPool:
         _check_labels(preds, num_classes, pred_path, f"pred_labels of model {mid}")
         probs = None
         if entry.get("probs"):
-            probs_path = base / entry["probs"]
+            probs_path = base / _field(entry, "probs", str, f"{where}, model {mid}")
             probs = _read_probs_file(probs_path, name)
             _check_probs(probs, preds, num_classes, probs_path)
         models.append(ModelRecord(id=mid, name=name, pred_labels=preds, probs=probs))

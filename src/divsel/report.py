@@ -98,9 +98,8 @@ def set_reports_to_table(reports) -> str:
 
 
 def team_evaluations_to_dicts(evals) -> list[dict]:
-    out = []
-    for e in evals:
-        rec = {
+    return [
+        {
             "team": e.team.key,
             "size": e.team.size,
             "ensemble_accuracy": e.ensemble_accuracy,
@@ -111,15 +110,8 @@ def team_evaluations_to_dicts(evals) -> list[dict]:
             "beats_members": e.beats_members,
             "beats_pool": e.beats_pool,
         }
-        if e.diversity is not None:
-            rec["diversity"] = {
-                "metric": e.diversity.metric.value,
-                "raw": e.diversity.raw,
-                "normalized": e.diversity.normalized,
-                "context": e.diversity.context,
-            }
-        out.append(rec)
-    return out
+        for e in evals
+    ]
 
 
 def selected_set_to_dict(selected: SelectedSet) -> dict:
@@ -146,14 +138,10 @@ def selected_set_from_dict(data: dict) -> SelectedSet:
     )
 
 
-def save_selected_set(selected: SelectedSet, path: str | Path) -> None:
-    Path(path).write_text(dumps(selected_set_to_dict(selected)))
-
-
 def load_selected_set(path: str | Path) -> SelectedSet:
     try:
         return selected_set_from_dict(json.loads(Path(path).read_text()))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DivselError(f"malformed selected-set JSON {path}: {exc}") from exc
 
 

@@ -313,21 +313,37 @@ def rules_to_json(rules) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
-def rules_from_json(text: str) -> list[SelectionRule]:
+def _optional_int(value):
+    if value is not None and not isinstance(value, int):
+        raise ValueError(f"expected an integer or null, got {value!r}")
+    return value
+
+
+def rules_from_json(text: str | bytes) -> list[SelectionRule]:
     try:
         records = json.loads(text)
         return [
             SelectionRule(
                 metric=MetricId.parse(rec["metric"]),
                 cutoff=float(rec["cutoff"]),
-                focal=rec.get("focal"),
-                size=rec.get("size"),
+                focal=_optional_int(rec.get("focal")),
+                size=_optional_int(rec.get("size")),
                 keep_all=bool(rec.get("keep_all", False)),
             )
             for rec in records
         ]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DivselError(f"malformed rules JSON: {exc}") from exc
+
+
+def check_rules(rules, metric: MetricId, pool_size: int) -> None:
+    """Reject stored rules of another metric or with a focal model outside the pool."""
+    for r in rules:
+        if r.metric is not metric:
+            raise DivselError(f"rules are for metric {r.metric.value}, not {metric.value}")
+        if r.focal is not None and not 0 <= r.focal < pool_size:
+            raise DivselError(f"rule focal {r.focal} is outside the pool of "
+                              f"{pool_size} models")
 
 
 def save_rules(rules, path: str | Path) -> None:
@@ -335,4 +351,4 @@ def save_rules(rules, path: str | Path) -> None:
 
 
 def load_rules(path: str | Path) -> list[SelectionRule]:
-    return rules_from_json(Path(path).read_text())
+    return rules_from_json(Path(path).read_bytes())

@@ -66,7 +66,7 @@ def config_from_dict(data: dict) -> SynthConfig:
 def load_config(path: str | Path) -> SynthConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise SynthConfigError(f"cannot read synth config {path}: {exc}") from exc
     try:
         return config_from_dict(data)

@@ -124,8 +124,7 @@ def test_criterion_5_selection_quality_trend():
     for seed in range(20):
         pool = _pool10(seed=seed)
         corr = correctness(pool)
-        cache = {}
-        evals = evaluate_teams(cands.teams, pool, corr, soft, cache=cache)
+        evals = evaluate_teams(cands.teams, pool, corr, soft)
         baseline = summarize("baseline", evals, len(cands),
                              float(corr.accuracies.max()))
         by_key = {e.team.key: e for e in evals}

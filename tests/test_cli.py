@@ -189,3 +189,66 @@ def test_recommend_table_format(pool_dir, capsys):
                  "--format", "table"]) == 0
     out = capsys.readouterr().out
     assert "baseline" in out and "q-kw" in out
+
+
+def _bad_manifest(pool_dir, name, mutate):
+    """Copy the fixture manifest next to its data files with one defect."""
+    doc = json.loads((pool_dir / "manifest.json").read_text())
+    mutate(doc)
+    path = pool_dir / f"bad-{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("no-id", lambda d: d["models"][1].pop("id")),
+    ("no-pred-labels", lambda d: d["models"][0].pop("pred_labels")),
+    ("num-classes", lambda d: d.update(num_classes="six")),
+    ("models-not-list", lambda d: d.update(models={"id": 0})),
+])
+def test_malformed_manifest_exits_1(pool_dir, capsys, name, mutate):
+    path = _bad_manifest(pool_dir, name, mutate)
+    assert main(["consensus", "--pool", str(path), "--team", "01",
+                 "--method", "soft"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest") and "Traceback" not in err
+
+
+def test_rules_in_must_match_metric_and_pool(pool_dir, tmp_path, capsys):
+    manifest = str(pool_dir / "manifest.json")
+    rules = tmp_path / "rules.json"
+    assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+                 "--rules-out", str(rules), "--out", str(tmp_path / "sel.json")]) == 0
+    base = ["select", "--pool", manifest, "--method", "fq",
+            "--out", str(tmp_path / "o.json")]
+    assert main(base + ["--metric", "bd", "--rules-in", str(rules)]) == 1
+    assert "not bd" in capsys.readouterr().err
+    recs = json.loads(rules.read_text())
+    recs[0]["focal"] = 7
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps(recs))
+    assert main(base + ["--metric", "gd", "--rules-in", str(foreign)]) == 1
+    assert "focal 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pool_size", [12, 5])
+def test_report_rejects_selected_set_of_another_pool(pool_dir, tmp_path, capsys,
+                                                     pool_size):
+    selected = tmp_path / "sel.json"
+    selected.write_text(json.dumps({"method": "x", "pool_size": pool_size,
+                                    "num_candidates": 26, "teams": ["01", "0-11"]}))
+    assert main(["report", "--pool", str(pool_dir / "manifest.json"),
+                 "--in", str(selected)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_utf8_input_files_exit_1(pool_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[")
+    manifest = str(pool_dir / "manifest.json")
+    for argv in (["synth", "--config", str(bad), "--out-dir", str(tmp_path / "p")],
+                 ["select", "--pool", manifest, "--method", "fq", "--rules-in", str(bad)],
+                 ["report", "--pool", manifest, "--in", str(bad)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -241,3 +241,12 @@ def test_predict_dispatch():
     for kind in ("soft", "majority", "plurality", "boosting"):
         pred = predict(t, pool, ConsensusMethod(kind))
         assert pred.labels.shape == (2,)
+
+
+def test_consensus_method_equality_with_array_train_indices():
+    a = ConsensusMethod("boosting", train_indices=np.array([3, 1, 2]))
+    b = ConsensusMethod("boosting", train_indices=[3, 1, 2])
+    assert a == b and hash(a) == hash(b)
+    assert a.train_indices == (3, 1, 2)
+    assert a != ConsensusMethod("boosting", train_indices=np.array([1, 2, 3]))
+    assert ConsensusMethod("soft").train_indices is None

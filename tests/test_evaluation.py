@@ -75,11 +75,10 @@ def test_report_counts_match_recount_oracle(small_pool):
 def test_nested_set_monotonicity(small_pool):
     pool, corr = small_pool
     cands = enumerate_teams(5)
-    cache = {}
     full = evaluate_set(cands.teams, pool, corr, SOFT, "all",
-                        candidate_count=len(cands), cache=cache)
+                        candidate_count=len(cands))
     sub = evaluate_set(cands.teams[:10], pool, corr, SOFT, "sub",
-                       candidate_count=len(cands), cache=cache)
+                       candidate_count=len(cands))
     assert sub.acc_max <= full.acc_max
     assert sub.num_beats_members <= full.num_beats_members
     assert sub.num_beats_pool <= full.num_beats_pool
