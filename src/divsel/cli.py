@@ -24,7 +24,8 @@ from .consensus import (ABSTAIN, DEFAULT_GAMMA, METHODS, ConsensusMethod,
 from .diversity import MetricId, diversity_score
 from .errors import DivselError, EmptyNegativesError
 from .evaluation import SetReport, evaluate_teams, summarize
-from .pool import CorrectnessMatrix, PredictionPool, correctness, load_pool, write_pool
+from .pool import (CorrectnessMatrix, PredictionPool, _read_label_file, correctness,
+                   load_pool, write_pool)
 from .sampling import (DEFAULT_SAMPLE_SIZE, SCHEMES, build_negative_set,
                        focal_negative_sets, negatives_any, sample_subset)
 from .selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, SelectedSet,
@@ -70,10 +71,7 @@ def _check_team(team, pool) -> None:
 def _consensus_method(args) -> ConsensusMethod:
     train = None
     if args.train_indices:
-        try:
-            train = np.loadtxt(args.train_indices, dtype=np.int64, ndmin=1)
-        except ValueError as exc:
-            raise DivselError(f"bad train-indices file {args.train_indices}: {exc}")
+        train = _read_label_file(Path(args.train_indices), "train-indices")
     return ConsensusMethod(kind=args.consensus, gamma=args.gamma, train_indices=train)
 
 
@@ -336,7 +334,7 @@ def _add_consensus_args(p):
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
                    help=f"boosting penalty exponent (default {DEFAULT_GAMMA})")
     p.add_argument("--train-indices", default=None,
-                   help="file of sample indices for boosting weight training")
+                   help="boosting training samples: one integer index per line")
 
 
 def _add_output_args(p, formats=("json", "csv", "table")):

@@ -116,34 +116,28 @@ def boosting_weights(team: EnsembleTeam, pool: PredictionPool,
                      train_indices=None, gamma: float = DEFAULT_GAMMA) -> MemberWeights:
     """Learn member weights by multiplicative error penalties.
 
-    Weights start uniform; walking the training samples in index order,
-    every member that mispredicts a sample has its weight multiplied by
-    e^gamma, after which the weights are renormalized to sum to 1.
+    Each training error multiplies a member's weight by e^gamma before the
+    weights are renormalized, so w_i is proportional to e^(gamma * e_i),
+    with e_i member i's error count on the training indices (all samples
+    when None).  Index order does not matter; duplicates count each time.
+    Subtracting min(e) keeps the largest term at 1, so nothing underflows.
     """
     if gamma >= 0:
         raise DivselError(f"boosting penalty must be negative, got {gamma}")
     _member_probs(team, pool, "boosting voting")
-    if train_indices is None:
-        train_indices = np.arange(pool.num_samples)
-    else:
-        train_indices = np.asarray(train_indices, dtype=np.int64)
-        if train_indices.size == 0:
+    train = slice(None)
+    if train_indices is not None:
+        train = np.asarray(train_indices, dtype=np.int64)
+        if train.size == 0:
             raise DivselError("boosting needs a non-empty training index set")
-        if np.any((train_indices < 0) | (train_indices >= pool.num_samples)):
+        if np.any((train < 0) | (train >= pool.num_samples)):
             raise DivselError("training index out of range")
-        # the walk is defined in sample-index order, whatever the file order
-        train_indices = np.sort(train_indices)
     # argmax of each prob row equals the stored predicted label (pool invariant)
-    wrong = np.stack([
-        pool.models[i].pred_labels != pool.labels for i in team.members
-    ])
-    penalty = np.exp(gamma)
-    weights = np.full(team.size, 1.0 / team.size)
-    for k in train_indices:
-        wrong_k = wrong[:, k]
-        if wrong_k.any():
-            weights[wrong_k] *= penalty
-            weights /= weights.sum()
+    labels = pool.labels[train]
+    errors = np.array([np.count_nonzero(pool.models[i].pred_labels[train] != labels)
+                       for i in team.members])
+    weights = np.exp(gamma * (errors - errors.min()))
+    weights /= weights.sum()
     return MemberWeights(weights=weights)
 
 

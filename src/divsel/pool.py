@@ -25,6 +25,7 @@ headerless CSV with one row per sample and one column per class.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,12 +93,17 @@ def _read_label_file(path: Path, what: str) -> np.ndarray:
     if not path.is_file():
         raise PoolError(f"{what} file not found: {path}")
     try:
-        values = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file is rejected below; numpy's own warning would only add noise
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, dtype=np.int64, ndmin=2)
     except ValueError as exc:
         raise PoolError(f"{what} file {path}: could not parse integers ({exc})") from exc
-    if values.ndim != 1:
+    if values.size == 0:
+        raise PoolError(f"{what} file {path}: no integers")
+    if values.shape[1] != 1:
         raise PoolError(f"{what} file {path}: expected one integer per line")
-    return values
+    return values.ravel()
 
 
 def _read_probs_file(path: Path, model_name: str) -> np.ndarray:

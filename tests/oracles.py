@@ -1,8 +1,11 @@
-"""Independent direct-from-formula oracles for the diversity metrics.
+"""Independent direct-from-formula oracles for the diversity metrics and
+the sequential boosting-weight walk.
 
 Deliberately written with plain Python loops and no shared code with the
 library, so the two sides of every metric check fail independently.
 """
+
+import math
 
 
 def o_pair_counts(wi, wj):
@@ -108,3 +111,21 @@ def o_raw(metric_name, rows):
 def o_normalized(metric_name, rows):
     raw = o_raw(metric_name, rows)
     return 1.0 - raw if metric_name in ("bd", "kw", "gd") else raw
+
+
+def o_boosting_weights(pred_rows, labels, train_indices, gamma):
+    """The boosting walk: start uniform; at each training index, in sample
+    order, multiply every wrong member's weight by e^gamma, then renormalize."""
+    s = len(pred_rows)
+    penalty = math.exp(gamma)
+    weights = [1.0 / s] * s
+    for k in sorted(train_indices):
+        wrong = [pred_rows[i][k] != labels[k] for i in range(s)]
+        if any(wrong):
+            for i in range(s):
+                if wrong[i]:
+                    weights[i] *= penalty
+            total = sum(weights)
+            for i in range(s):
+                weights[i] /= total
+    return weights

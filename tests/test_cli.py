@@ -252,3 +252,29 @@ def test_non_utf8_input_files_exit_1(pool_dir, tmp_path, capsys):
                  ["report", "--pool", manifest, "--in", str(bad)]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["consensus", "report"])
+@pytest.mark.parametrize("defect", ["two-columns", "one-row-two-columns", "empty-train",
+                                    "empty-labels"])
+def test_bad_integer_files_exit_1(pool_dir, tmp_path, capsys, command, defect):
+    manifest = pool_dir / "manifest.json"
+    train = tmp_path / "train.txt"
+    train.write_text({"two-columns": "1 2\n3 4\n", "one-row-two-columns": "1 2\n",
+                      "empty-train": ""}.get(defect, "1\n2\n"))
+    if defect == "empty-labels":
+        (pool_dir / "empty.txt").write_text("")
+        manifest = _bad_manifest(pool_dir, defect, lambda d: d.update(labels="empty.txt"))
+    if command == "consensus":
+        argv = ["consensus", "--pool", str(manifest), "--team", "01",
+                "--method", "boosting"]
+    else:
+        selected = tmp_path / "sel.json"
+        selected.write_text(json.dumps({"method": "x", "pool_size": 5,
+                                        "num_candidates": 26, "teams": ["01"]}))
+        argv = ["report", "--pool", str(manifest), "--in", str(selected),
+                "--consensus", "boosting"]
+    assert main(argv + ["--train-indices", str(train)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divsel.consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction,
                               MemberWeights, boosting_vote, boosting_weights,
@@ -9,6 +11,7 @@ from divsel.errors import CapabilityError, DivselError
 from divsel.teaming import team
 
 from conftest import pool_from_correctness, pool_from_probs
+from oracles import o_boosting_weights
 
 
 def votes_pool(vote_rows, num_classes):
@@ -164,6 +167,53 @@ def test_boosting_weights_respects_train_indices():
         boosting_weights(team(0, 1), pool, train_indices=np.array([], dtype=np.int64))
     with pytest.raises(DivselError):
         boosting_weights(team(0, 1), pool, train_indices=np.array([5]))
+
+
+@st.composite
+def boosting_cases(draw):
+    """Member votes, labels, training indices (unsorted, with duplicates) and gamma."""
+    size = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 40))
+    num_classes = draw(st.integers(2, 4))
+    votes = st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n)
+    labels = draw(votes)
+    preds = [draw(votes) for _ in range(size)]
+    train = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
+    gamma = draw(st.floats(-2.0, -1e-4))
+    return labels, preds, train, gamma, num_classes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=boosting_cases())
+@example(case=([0, 1, 0, 1], [[1, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0]],
+               [3, 0, 3, 2, 0, 3], -1.5, 2))
+def test_boosting_weights_match_walk_oracle(case):
+    labels, preds, train, gamma, num_classes = case
+    n = len(labels)
+    mats = []
+    for row in preds:
+        p = np.full((n, num_classes), 0.5 / num_classes)
+        p[np.arange(n), row] += 0.5
+        mats.append(p)
+    pool = pool_from_probs(labels, mats, num_classes=num_classes)
+    w = boosting_weights(team(*range(len(preds))), pool, train_indices=train, gamma=gamma)
+    walked = o_boosting_weights(preds, labels, range(n) if train is None else train, gamma)
+    np.testing.assert_allclose(w.weights, walked, rtol=0, atol=1e-12)
+
+
+def test_boosting_weights_do_not_underflow_at_large_error_counts():
+    # e^(-0.01 * 75,000) underflows to 0: unshifted weights would be 0 / 0
+    n = 80_000
+    mats = []
+    for errors in (75_400, 75_000, 76_000):
+        p = np.tile([0.9, 0.1], (n, 1))
+        p[:errors] = [0.1, 0.9]
+        mats.append(p)
+    pool = pool_from_probs(np.zeros(n, dtype=np.int64), mats, num_classes=2)
+    w = boosting_weights(team(0, 1, 2), pool, gamma=-0.01).weights
+    assert np.all(np.isfinite(w))
+    assert abs(float(w.sum()) - 1.0) <= 1e-12
+    assert w.argmax() == 1
 
 
 def test_boosting_vote_uniform_weights_equal_soft_vote():
