@@ -10,10 +10,9 @@ method, and report aggregate quality statistics.
 from .consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction, MemberWeights,
                         boosting_vote, boosting_weights, ensemble_accuracy,
                         majority_vote, plurality_vote, predict, soft_vote)
-from .diversity import (DiversityScore, MetricId, PairCounts, binary_disagreement,
-                        cohens_kappa, diversity_score, fleiss_kappa,
-                        generalized_diversity, kw_variance, pair_counts,
-                        pairwise_average, q_statistics)
+from .diversity import (MetricId, PairCounts, binary_disagreement, cohens_kappa,
+                        diversity_score, fleiss_kappa, generalized_diversity,
+                        kw_variance, pair_counts, pairwise_average, q_statistics)
 from .errors import (CapabilityError, DivselError, EmptyNegativesError, PoolError,
                      RuleCoverageError, SynthConfigError, TeamLimitError)
 from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_team
@@ -26,7 +25,6 @@ from .selection import (FocalScoreTable, SelectedSet, SelectionRule, eq_fuse,
                         fq_select, learn_fq_rules, load_rules, q_select, save_rules,
                         two_means_split)
 from .synth import SynthConfig, generate_pool
-from .teaming import (CandidateSet, EnsembleTeam, enumerate_teams, parse_team, team,
-                      teams_containing)
+from .teaming import CandidateSet, EnsembleTeam, enumerate_teams, parse_team, team
 
 __version__ = "0.1.0"

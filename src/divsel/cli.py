@@ -21,7 +21,7 @@ import numpy as np
 from . import report as rpt
 from .consensus import (ABSTAIN, DEFAULT_GAMMA, METHODS, ConsensusMethod,
                         ensemble_accuracy, predict)
-from .diversity import MetricId, diversity_score
+from .diversity import MetricId, diversity_score, normalize
 from .errors import DivselError, EmptyNegativesError
 from .evaluation import SetReport, evaluate_teams, summarize
 from .pool import (CorrectnessMatrix, PredictionPool, _read_label_file, correctness,
@@ -75,18 +75,11 @@ def _consensus_method(args) -> ConsensusMethod:
     return ConsensusMethod(kind=args.consensus, gamma=args.gamma, train_indices=train)
 
 
-def _fq_pipeline(metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
-                 sample_size: int, seed: int, mode: str, rules=None):
-    neg_sets = focal_negative_sets(corr, sample_size, seed)
-    table = FocalScoreTable(metric, corr, neg_sets)
-    if rules is None:
-        rules = learn_fq_rules(metric, cands, table)
-    selected = fq_select(metric, cands, rules, table, mode=mode)
-    return rules, selected
-
-
 def _select(args, cands: CandidateSet, corr: CorrectnessMatrix):
-    """Run the selection method chosen on the command line."""
+    """Run the chosen selection method; ``fq`` is ``eq`` over one metric."""
+    rules_path = getattr(args, "rules_in", None)
+    if rules_path and args.method != "fq":
+        raise DivselError(f"--rules-in needs --method fq, not --method {args.method}")
     if args.method == "q":
         metric = MetricId.parse(args.metric)
         neg = build_negative_set(corr, args.sampling, args.sample_size, args.seed,
@@ -94,29 +87,28 @@ def _select(args, cands: CandidateSet, corr: CorrectnessMatrix):
         selected, rule = q_select(metric, cands, corr, neg)
         return selected, [rule]
     if args.method == "fq":
-        metric = MetricId.parse(args.metric)
-        rules_in = None
-        if getattr(args, "rules_in", None):
-            rules_in = load_rules(args.rules_in)
-            check_rules(rules_in, metric, cands.pool_size)
-        rules, selected = _fq_pipeline(metric, cands, corr, args.sample_size,
-                                       args.seed, args.fq_mode, rules=rules_in)
-        return selected, rules
-    # eq: fuse the per-metric focal selections
-    try:
-        metrics = [MetricId.parse(m) for m in args.eq_metrics.split(",")]
-    except ValueError as exc:
-        raise DivselError(str(exc))
-    if len(metrics) < 2:
-        raise DivselError("--eq-metrics needs at least two metrics")
+        metrics = [MetricId.parse(args.metric)]
+    else:
+        try:
+            metrics = [MetricId.parse(m) for m in args.eq_metrics.split(",")]
+        except ValueError as exc:
+            raise DivselError(str(exc))
+        if len(metrics) < 2:
+            raise DivselError("--eq-metrics needs at least two metrics")
+    stored = None
+    if rules_path:
+        stored = load_rules(rules_path)
+        check_rules(stored, metrics[0], cands.pool_size)
+    # focal negatives depend on the focal model and the seed, not on the metric
+    neg_sets = focal_negative_sets(corr, args.sample_size, args.seed)
     all_rules = []
     parts = []
     for metric in metrics:
-        rules, selected = _fq_pipeline(metric, cands, corr, args.sample_size,
-                                       args.seed, args.fq_mode)
+        table = FocalScoreTable(metric, corr, neg_sets)
+        rules = stored if stored is not None else learn_fq_rules(metric, cands, table)
         all_rules.extend(rules)
-        parts.append(selected)
-    return eq_fuse(parts), all_rules
+        parts.append(fq_select(metric, cands, rules, table, mode=args.fq_mode))
+    return (eq_fuse(parts) if len(parts) > 1 else parts[0]), all_rules
 
 
 # ---------------------------------------------------------------- commands
@@ -149,11 +141,10 @@ def cmd_diversity(args) -> int:
         _check_team(teams[0], pool)
     else:
         teams = list(enumerate_teams(pool.num_models, args.team_size))
-    scores = [diversity_score(metric, t, corr, neg) for t in teams]
+    raws = [diversity_score(metric, t, corr, neg) for t in teams]
     rows = [
-        {"team": s.team.key, "size": s.team.size, "raw": s.raw,
-         "normalized": s.normalized}
-        for s in scores
+        {"team": t.key, "size": t.size, "raw": raw, "normalized": normalize(metric, raw)}
+        for t, raw in zip(teams, raws)
     ]
     if fmt == "json":
         _emit(rpt.dumps({"metric": metric.value, "context": neg.descriptor,
@@ -284,7 +275,7 @@ def cmd_query(args) -> int:
             row["diversity"] = None
             continue
         row["diversity"] = {
-            m.value: diversity_score(m, sub, corr, neg).normalized
+            m.value: normalize(m, diversity_score(m, sub, corr, neg))
             for m in MetricId
         }
     summary = summarize(f"query-{team.key}", evals, len(subteams),
@@ -391,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_select_args(p)
     _add_sampling_args(p)
     p.add_argument("--rules-out", default=None, help="write learned rules JSON")
-    p.add_argument("--rules-in", default=None, help="reuse stored rules JSON (fq)")
+    p.add_argument("--rules-in", default=None, help="reuse stored rules JSON (fq only)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_select)
 

@@ -64,15 +64,6 @@ class PairCounts:
         return self.n11 + self.n10 + self.n01 + self.n00
 
 
-@dataclass(frozen=True)
-class DiversityScore:
-    metric: MetricId
-    raw: float
-    normalized: float
-    team: EnsembleTeam
-    context: str
-
-
 def pair_counts(wi: np.ndarray, wj: np.ndarray) -> PairCounts:
     """Exact agreement counts between two binary correctness vectors."""
     wi = np.asarray(wi, dtype=np.int64)
@@ -201,16 +192,8 @@ def normalize(metric: MetricId, raw: float) -> float:
 
 
 def diversity_score(metric: MetricId, team: EnsembleTeam, corr: CorrectnessMatrix,
-                    neg: NegativeSampleSet) -> DiversityScore:
-    """Score one team on the given negative-sample subset."""
+                    neg: NegativeSampleSet) -> float:
+    """Raw ``metric`` value of one team on ``neg``; ``normalize`` orients it."""
     if len(neg) == 0:
         raise EmptyNegativesError("cannot score diversity on an empty negative set")
-    rows = corr.omega[np.asarray(team.members)][:, neg.indices]
-    raw = raw_score(metric, rows)
-    return DiversityScore(
-        metric=metric,
-        raw=raw,
-        normalized=normalize(metric, raw),
-        team=team,
-        context=neg.descriptor,
-    )
+    return raw_score(metric, corr.omega[np.asarray(team.members)][:, neg.indices])

@@ -79,10 +79,6 @@ class CorrectnessMatrix:
     def num_models(self) -> int:
         return int(self.omega.shape[0])
 
-    @property
-    def num_samples(self) -> int:
-        return int(self.omega.shape[1])
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -248,8 +244,7 @@ def load_pool(manifest_path: str | Path) -> PredictionPool:
     return build_pool(str(manifest["dataset"]), num_classes, labels, models)
 
 
-def write_pool(pool: PredictionPool, out_dir: str | Path,
-               manifest_name: str = "manifest.json") -> Path:
+def write_pool(pool: PredictionPool, out_dir: str | Path) -> Path:
     """Write a pool to ``out_dir`` in the manifest format; returns the manifest path.
 
     Labels and predictions round-trip bitwise; probabilities are written
@@ -279,7 +274,7 @@ def write_pool(pool: PredictionPool, out_dir: str | Path,
         "labels": labels_file,
         "models": entries,
     }
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
 

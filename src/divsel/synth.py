@@ -41,7 +41,6 @@ class SynthConfig:
     groups: tuple[CorrelationGroup, ...] = ()
     seed: int = 0
     dataset_name: str = "synthetic"
-    model_names: tuple[str, ...] | None = None
 
 
 def config_from_dict(data: dict) -> SynthConfig:
@@ -50,7 +49,6 @@ def config_from_dict(data: dict) -> SynthConfig:
                          overlap=float(g["overlap"]))
         for g in data.get("groups", [])
     )
-    names = data.get("model_names")
     return SynthConfig(
         num_models=int(data["num_models"]),
         num_samples=int(data["num_samples"]),
@@ -59,7 +57,6 @@ def config_from_dict(data: dict) -> SynthConfig:
         groups=groups,
         seed=int(data.get("seed", 0)),
         dataset_name=str(data.get("dataset", "synthetic")),
-        model_names=tuple(names) if names else None,
     )
 
 
@@ -99,8 +96,6 @@ def validate_config(cfg: SynthConfig) -> None:
             )
         if _error_budget(acc, cfg.num_samples) > cfg.num_samples:
             raise SynthConfigError(f"model {i}: error budget exceeds sample count")
-    if cfg.model_names is not None and len(cfg.model_names) != cfg.num_models:
-        raise SynthConfigError("model_names length must match num_models")
     seen: set[int] = set()
     for g in cfg.groups:
         if not (0.0 <= g.overlap <= 1.0):
@@ -161,7 +156,7 @@ def generate_pool(cfg: SynthConfig) -> PredictionPool:
         if errors.size:
             preds[errors] = _wrong_labels(rng, labels[errors], c)
         probs = _prob_rows(rng, preds, c, n)
-        name = cfg.model_names[i] if cfg.model_names else f"synth_{i}"
-        models.append(ModelRecord(id=i, name=name, pred_labels=preds, probs=probs))
+        models.append(ModelRecord(id=i, name=f"synth_{i}", pred_labels=preds,
+                                  probs=probs))
 
     return build_pool(cfg.dataset_name, c, labels, models)

@@ -84,29 +84,12 @@ class CandidateSet:
     def __iter__(self):
         return iter(self.teams)
 
-    def of_size(self, size: int) -> tuple[EnsembleTeam, ...]:
-        return tuple(t for t in self.teams if t.size == size)
 
-
-def _normalize_size_filter(size_filter, pool_size: int) -> tuple[int, int]:
-    if size_filter is None:
-        return 2, pool_size
-    if isinstance(size_filter, int):
-        lo = hi = size_filter
-    else:
-        lo, hi = size_filter
-    if lo < 2 or hi > pool_size or lo > hi:
-        raise TeamLimitError(
-            f"team-size filter {size_filter} outside valid range [2, {pool_size}]"
-        )
-    return lo, hi
-
-
-def enumerate_teams(pool_size: int, size_filter=None) -> CandidateSet:
+def enumerate_teams(pool_size: int, size_filter: int | None = None) -> CandidateSet:
     """Enumerate every subset of {0..pool_size-1} with size in the filter.
 
-    ``size_filter`` may be None (all sizes 2..M), a single size, or a
-    (lo, hi) range.  Order: size ascending, lexicographic within a size.
+    ``size_filter`` is None (all sizes 2..M) or a single size.  Order:
+    size ascending, lexicographic within a size.
     """
     if pool_size < 2:
         raise TeamLimitError(f"pool size must be >= 2, got {pool_size}")
@@ -115,20 +98,14 @@ def enumerate_teams(pool_size: int, size_filter=None) -> CandidateSet:
             f"pool size {pool_size} exceeds enumeration limit {MAX_POOL_SIZE} "
             f"(2^{pool_size} subsets)"
         )
-    lo, hi = _normalize_size_filter(size_filter, pool_size)
+    lo, hi = (2, pool_size) if size_filter is None else (size_filter, size_filter)
+    if lo < 2 or hi > pool_size:
+        raise TeamLimitError(
+            f"team-size filter {size_filter} outside valid range [2, {pool_size}]"
+        )
     teams = tuple(
         EnsembleTeam(members)
         for size in range(lo, hi + 1)
         for members in combinations(range(pool_size), size)
     )
     return CandidateSet(teams=teams, pool_size=pool_size)
-
-
-def teams_containing(cands: CandidateSet, focal: int, size: int | None = None):
-    """Teams from ``cands`` that include the focal model (optionally of one size)."""
-    if focal < 0 or focal >= cands.pool_size:
-        raise TeamLimitError(f"focal model {focal} not in pool of {cands.pool_size}")
-    return tuple(
-        t for t in cands.teams
-        if focal in t.members and (size is None or t.size == size)
-    )

@@ -3,6 +3,12 @@ import json
 import pytest
 
 from divsel.cli import main
+from divsel.pool import correctness, load_pool
+from divsel.report import load_selected_set, selected_set_to_dict
+from divsel.sampling import DEFAULT_SAMPLE_SIZE, build_negative_set
+from divsel.selection import eq_fuse
+
+from oracles import o_normalized, o_raw
 
 SYNTH_CONFIG = {
     "dataset": "cli-test",
@@ -78,12 +84,18 @@ def test_malformed_selected_set_exits_1(pool_dir, tmp_path, capsys):
 
 
 def test_diversity_single_team(pool_dir, capsys):
-    assert main(["diversity", "--pool", str(pool_dir / "manifest.json"),
-                 "--metric", "bd", "--team", "023", "--seed", "4"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["metric"] == "bd"
-    assert data["scores"][0]["team"] == "023"
-    assert 0.0 <= data["scores"][0]["raw"] <= 1.0
+    corr = correctness(load_pool(pool_dir / "manifest.json"))
+    neg = build_negative_set(corr, "any", DEFAULT_SAMPLE_SIZE, 4)
+    rows = corr.omega[[0, 2, 3]][:, neg.indices].tolist()
+    for metric in ("ck", "qs", "bd", "fk", "kw", "gd"):
+        assert main(["diversity", "--pool", str(pool_dir / "manifest.json"),
+                     "--metric", metric, "--team", "023", "--seed", "4"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["metric"] == metric
+        [score] = data["scores"]
+        assert score["team"] == "023"
+        assert score["raw"] == pytest.approx(o_raw(metric, rows), abs=1e-12)
+        assert score["normalized"] == pytest.approx(o_normalized(metric, rows), abs=1e-12)
 
 
 def test_diversity_all_teams_csv(pool_dir, capsys):
@@ -229,6 +241,32 @@ def test_rules_in_must_match_metric_and_pool(pool_dir, tmp_path, capsys):
     foreign.write_text(json.dumps(recs))
     assert main(base + ["--metric", "gd", "--rules-in", str(foreign)]) == 1
     assert "focal 7" in capsys.readouterr().err
+    # stored rules are fq rules of one metric; q and eq do not take them
+    for method in ("q", "eq"):
+        assert main(["select", "--pool", manifest, "--method", method,
+                     "--rules-in", str(rules), "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--rules-in" in err
+        assert len(err.splitlines()) == 1
+
+
+def test_eq_is_fusion_of_fq_runs(pool_dir, tmp_path):
+    manifest = str(pool_dir / "manifest.json")
+    base = ["select", "--pool", manifest, "--seed", "5"]
+    parts, rules = [], []
+    for metric in ("bd", "kw"):
+        sel, rul = tmp_path / f"fq-{metric}.json", tmp_path / f"fq-{metric}-rules.json"
+        assert main(base + ["--method", "fq", "--metric", metric,
+                            "--rules-out", str(rul), "--out", str(sel)]) == 0
+        parts.append(load_selected_set(sel))
+        rules += json.loads(rul.read_text())
+    sel, rul = tmp_path / "eq.json", tmp_path / "eq-rules.json"
+    assert main(base + ["--method", "eq", "--eq-metrics", "bd,kw",
+                        "--rules-out", str(rul), "--out", str(sel)]) == 0
+    fused = selected_set_to_dict(eq_fuse(parts))
+    assert json.loads(sel.read_text()) == fused
+    assert fused["method"] == "eq(fq-bd-all+fq-kw-all)" and fused["teams"]
+    assert json.loads(rul.read_text()) == rules
 
 
 @pytest.mark.parametrize("pool_size", [12, 5])

@@ -3,8 +3,8 @@ import pytest
 
 from divsel.diversity import (MetricId, binary_disagreement, cohens_kappa,
                               diversity_score, fleiss_kappa, generalized_diversity,
-                              kw_variance, pair_counts, pairwise_average, q_statistics,
-                              raw_score)
+                              kw_variance, normalize, pair_counts, pairwise_average,
+                              q_statistics, raw_score)
 from divsel.errors import EmptyNegativesError
 from divsel.pool import CorrectnessMatrix
 from divsel.sampling import sample_subset
@@ -205,14 +205,12 @@ def test_diversity_score_normalization():
     neg = sample_subset(np.arange(10), 10, seed=0)
     t = team(0, 1)
     bd = diversity_score(MetricId.BD, t, corr, neg)
-    assert bd.raw == pytest.approx(0.3)
-    assert bd.normalized == pytest.approx(0.7)
+    assert bd == pytest.approx(0.3)
+    assert normalize(MetricId.BD, bd) == pytest.approx(0.7)
     gd = diversity_score(MetricId.GD, t, corr, neg)
-    assert gd.normalized == pytest.approx(1 - 3 / 7)
+    assert normalize(MetricId.GD, gd) == pytest.approx(1 - 3 / 7)
     ck = diversity_score(MetricId.CK, t, corr, neg)
-    assert ck.normalized == ck.raw == pytest.approx(16 / 45)
-    assert ck.team is t
-    assert "seed=0" in ck.context
+    assert normalize(MetricId.CK, ck) == ck == pytest.approx(16 / 45)
 
 
 def test_diversity_score_restricts_to_negative_columns():
@@ -220,7 +218,7 @@ def test_diversity_score_restricts_to_negative_columns():
     neg = sample_subset(np.array([1, 4, 5, 7, 8]), 10, seed=0)
     score = diversity_score(MetricId.BD, team(0, 1), corr, neg)
     # on {1,4,5,7,8} the rows are [1,0,0,0,1] and [0,1,0,0,0]: 3 of 5 differ
-    assert score.raw == pytest.approx(3 / 5)
+    assert score == pytest.approx(3 / 5)
 
 
 def test_diversity_score_empty_negatives():

@@ -35,7 +35,7 @@ def test_full_overlap_duplicates_error_sets():
     # identical error sets mean zero binary disagreement on their negatives
     neg = sample_subset(negatives_any(corr), 1000, seed=0)
     score = diversity_score(MetricId.BD, team(0, 1), corr, neg)
-    assert score.raw == 0.0
+    assert score == 0.0
 
 
 def test_zero_overlap_group_behaves_independently():
