@@ -10,9 +10,9 @@ method, and report aggregate quality statistics.
 from .consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction, MemberWeights,
                         boosting_vote, boosting_weights, ensemble_accuracy,
                         majority_vote, plurality_vote, predict, soft_vote)
-from .diversity import (MetricId, PairCounts, binary_disagreement, cohens_kappa,
+from .diversity import (MetricId, agreement_counts, binary_disagreement, cohens_kappa,
                         diversity_score, fleiss_kappa, generalized_diversity,
-                        kw_variance, pair_counts, pairwise_average, q_statistics)
+                        kw_variance, pairwise_average, q_statistics)
 from .errors import (CapabilityError, DivselError, EmptyNegativesError, PoolError,
                      RuleCoverageError, SynthConfigError, TeamLimitError)
 from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_team

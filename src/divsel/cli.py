@@ -104,7 +104,7 @@ def _select(args, cands: CandidateSet, corr: CorrectnessMatrix):
     all_rules = []
     parts = []
     for metric in metrics:
-        table = FocalScoreTable(metric, corr, neg_sets)
+        table = FocalScoreTable(metric, cands, corr, neg_sets)
         rules = stored if stored is not None else learn_fq_rules(metric, cands, table)
         all_rules.extend(rules)
         parts.append(fq_select(metric, cands, rules, table, mode=args.fq_mode))
@@ -305,6 +305,17 @@ def cmd_query(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_pool_arg(p):
     p.add_argument("--pool", required=True, help="path to a pool manifest JSON")
 
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pool_arg(p)
     p.add_argument("--in", required=True, help="selected-set JSON from `select`")
     _add_consensus_args(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     _add_output_args(p)
     p.set_defaults(func=cmd_report)
 
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_select_args(p)
     _add_sampling_args(p)
     _add_consensus_args(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     _add_output_args(p)
     p.set_defaults(func=cmd_recommend)
 
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.add_argument("--seed", type=int, default=0)
     _add_consensus_args(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     _add_output_args(p, formats=("json", "table"))
     p.set_defaults(func=cmd_query)
 

@@ -10,6 +10,7 @@ an incorrect prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,12 @@ DEFAULT_GAMMA = -0.01
 METHODS = ("soft", "majority", "plurality", "boosting")
 
 
+def _check_gamma(gamma: float) -> None:
+    """Boosting needs a finite negative penalty exponent."""
+    if not (math.isfinite(gamma) and gamma < 0):
+        raise DivselError(f"boosting penalty must be finite and negative, got {gamma}")
+
+
 @dataclass(frozen=True)
 class ConsensusMethod:
     """A consensus algorithm choice plus its parameters."""
@@ -34,8 +41,8 @@ class ConsensusMethod:
     def __post_init__(self):
         if self.kind not in METHODS:
             raise ValueError(f"unknown consensus method {self.kind!r}")
-        if self.kind == "boosting" and self.gamma >= 0:
-            raise DivselError(f"boosting penalty must be negative, got {self.gamma}")
+        if self.kind == "boosting":
+            _check_gamma(self.gamma)
         if self.train_indices is not None:
             # a tuple keeps the frozen method comparable and hashable
             indices = np.asarray(self.train_indices, dtype=np.int64)
@@ -122,8 +129,7 @@ def boosting_weights(team: EnsembleTeam, pool: PredictionPool,
     when None).  Index order does not matter; duplicates count each time.
     Subtracting min(e) keeps the largest term at 1, so nothing underflows.
     """
-    if gamma >= 0:
-        raise DivselError(f"boosting penalty must be negative, got {gamma}")
+    _check_gamma(gamma)
     _member_probs(team, pool, "boosting voting")
     train = slice(None)
     if train_indices is not None:

@@ -13,7 +13,6 @@ agreement-style metrics ck, qs and fk are kept as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -50,55 +49,53 @@ class MetricId(str, Enum):
         return self in (MetricId.BD, MetricId.KW, MetricId.GD)
 
 
-@dataclass(frozen=True)
-class PairCounts:
-    """2x2 contingency counts for a pair of correctness vectors."""
-
-    n11: int
-    n10: int
-    n01: int
-    n00: int
-
-    @property
-    def total(self) -> int:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
-
-def pair_counts(wi: np.ndarray, wj: np.ndarray) -> PairCounts:
-    """Exact agreement counts between two binary correctness vectors."""
-    wi = np.asarray(wi, dtype=np.int64)
-    wj = np.asarray(wj, dtype=np.int64)
-    if wi.shape != wj.shape:
-        raise ValueError(f"length mismatch: {wi.shape} vs {wj.shape}")
-    n = int(wi.shape[0])
+def _checked(rows) -> np.ndarray:
+    """Team correctness rows as int64, with at least two members and one sample."""
+    rows = np.asarray(rows, dtype=np.int64)
+    s, n = rows.shape
+    if s < 2:
+        raise ValueError(f"need at least 2 rows, got {s}")
     if n == 0:
         raise ValueError("empty correctness vectors")
-    n11 = int(wi @ wj)
-    si = int(wi.sum())
-    sj = int(wj.sum())
-    return PairCounts(n11=n11, n10=si - n11, n01=sj - n11, n00=n - si - sj + n11)
+    return rows
 
 
-def cohens_kappa(pc: PairCounts) -> float:
+def agreement_counts(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n11, n10, n01, n00) of every member pair i < j, in ``np.triu_indices`` order.
+
+    n11 is read off the team's Gram matrix R Rᵀ and the other three follow
+    from the row sums, so every count is exact.
+    """
+    rows = _checked(rows)
+    i, j = np.triu_indices(rows.shape[0], 1)
+    n11 = (rows @ rows.T)[i, j]
+    ones = rows.sum(axis=1)
+    n10 = ones[i] - n11
+    n01 = ones[j] - n11
+    return n11, n10, n01, rows.shape[1] - n11 - n10 - n01
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den as float64, with 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
+
+
+def cohens_kappa(n11, n10, n01, n00) -> np.ndarray:
     """Chance-corrected agreement in [-1, 1]; 0 when the chance base degenerates."""
-    den = (pc.n11 + pc.n10) * (pc.n01 + pc.n00) + (pc.n11 + pc.n01) * (pc.n10 + pc.n00)
-    if den == 0:
-        return 0.0
-    return 2.0 * (pc.n11 * pc.n00 - pc.n01 * pc.n10) / den
+    den = (n11 + n10) * (n01 + n00) + (n11 + n01) * (n10 + n00)
+    return _ratio(2.0 * (n11 * n00 - n01 * n10), den)
 
 
-def q_statistics(pc: PairCounts) -> float:
+def q_statistics(n11, n10, n01, n00) -> np.ndarray:
     """Odds-style association in [-1, 1]; 0 when both products are zero."""
-    agree = pc.n11 * pc.n00
-    disagree = pc.n01 * pc.n10
-    if agree + disagree == 0:
-        return 0.0
-    return (agree - disagree) / (agree + disagree)
+    agree = n11 * n00
+    disagree = n01 * n10
+    return _ratio(agree - disagree, agree + disagree)
 
 
-def binary_disagreement(pc: PairCounts) -> float:
+def binary_disagreement(n11, n10, n01, n00) -> np.ndarray:
     """Fraction of samples where exactly one of the two models is correct."""
-    return (pc.n01 + pc.n10) / pc.total
+    return _ratio(n01 + n10, n11 + n10 + n01 + n00)
 
 
 _PAIR_FUNCS = {
@@ -112,26 +109,12 @@ def pairwise_average(metric: MetricId, rows: np.ndarray) -> float:
     """Mean of a pairwise metric over all unordered member pairs."""
     if not metric.pairwise:
         raise ValueError(f"{metric.value} is not a pairwise metric")
-    rows = np.asarray(rows)
-    s = rows.shape[0]
-    if s < 2:
-        raise ValueError(f"need at least 2 rows, got {s}")
-    func = _PAIR_FUNCS[metric]
-    values = [
-        func(pair_counts(rows[i], rows[j]))
-        for i in range(s - 1)
-        for j in range(i + 1, s)
-    ]
-    return float(np.mean(values))
+    return float(np.mean(_PAIR_FUNCS[metric](*agreement_counts(rows))))
 
 
 def _label_counts(rows: np.ndarray) -> tuple[int, int, np.ndarray]:
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = _checked(rows)
     s, n = rows.shape
-    if s < 2:
-        raise ValueError(f"need at least 2 rows, got {s}")
-    if n == 0:
-        raise ValueError("empty correctness vectors")
     return s, n, rows.sum(axis=0)
 
 

@@ -95,6 +95,8 @@ def sample_subset(full: np.ndarray, size: int, seed: int,
         raise EmptyNegativesError("cannot sample from an empty negative set")
     if size < 1:
         raise DivselError(f"sample size must be positive, got {size}")
+    if seed < 0:
+        raise DivselError(f"seed must be non-negative, got {seed}")
     if size >= full.size:
         chosen = full
     else:

@@ -4,11 +4,11 @@ Three selection families operate on a candidate set:
 
 * ``q_select`` scores every candidate on one shared negative-sample set
   and keeps teams strictly below the mean score.
-* ``learn_fq_rules`` + ``fq_select`` score each team per member focal
-  model on that focal's own negatives, learn one cutoff per
-  (focal, team size) cell with a two-cluster 1-D split, and keep teams
-  whose per-focal scores clear the cutoffs (all / any / majority of the
-  member focals, "all" by default).
+* ``FocalScoreTable`` scores each team per member focal model on that
+  focal's own negatives; ``learn_fq_rules`` learns one cutoff per
+  (focal, team size) cell with a two-cluster 1-D split, and ``fq_select``
+  keeps teams whose per-focal scores clear the cutoffs (all / any /
+  majority of the member focals, "all" by default).
 * ``eq_fuse`` intersects several selected sets into an elite set.
 """
 
@@ -158,40 +158,31 @@ def two_means_split(values) -> TwoMeansSplit:
 
 
 class FocalScoreTable:
-    """Lazily computed normalized scores of teams on per-focal negatives.
+    """Normalized scores of every candidate on each member focal's negatives.
 
-    Looks up (and caches) the diversity of a team measured on the negative
-    samples of one of its member models.  Focal models absent from
-    ``neg_sets`` (models that never err) yield no scores; their rule cells
-    are degenerate.
+    ``scores[k]`` holds one score per member of candidate k, in member
+    order: the team's diversity on that focal model's negative samples,
+    or None when the focal never errs (it is absent from ``neg_sets`` and
+    its rule cells are degenerate).  Each (focal, team) cell is scored
+    exactly once, here.
     """
 
-    def __init__(self, metric: MetricId, corr: CorrectnessMatrix,
+    def __init__(self, metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
                  neg_sets: dict[int, NegativeSampleSet]):
-        self.metric = metric
         self.neg_sets = neg_sets
-        self._omega_by_focal = {
-            focal: corr.omega[:, ns.indices] for focal, ns in neg_sets.items()
-        }
-        self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def has_focal(self, focal: int) -> bool:
-        return focal in self._omega_by_focal
-
-    def score(self, focal: int, team: EnsembleTeam) -> float:
-        key = (focal, team.members)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        omega = self._omega_by_focal[focal]
-        value = normalize(self.metric,
-                          raw_score(self.metric, omega[np.asarray(team.members)]))
-        self._cache[key] = value
-        return value
+        omega_by_focal = {focal: corr.omega[:, ns.indices] for focal, ns in neg_sets.items()}
+        self.scores: list[tuple[float | None, ...]] = []
+        for t in cands:
+            members = np.asarray(t.members)
+            self.scores.append(tuple(
+                normalize(metric, raw_score(metric, omega_by_focal[focal][members]))
+                if focal in omega_by_focal else None
+                for focal in t.members
+            ))
 
 
 def learn_fq_rules(metric: MetricId, cands: CandidateSet,
-                   scores: FocalScoreTable) -> list[SelectionRule]:
+                   table: FocalScoreTable) -> list[SelectionRule]:
     """Learn one keep/prune cutoff per (focal model, team size) cell.
 
     Within a cell, the scores of all size-S candidates containing the
@@ -201,11 +192,11 @@ def learn_fq_rules(metric: MetricId, cands: CandidateSet,
     degenerate keep-all rules.
     """
     by_cell: dict[tuple[int, int], list[float]] = {}
-    for t in cands:
-        for focal in t.members:
+    for t, focal_scores in zip(cands, table.scores):
+        for focal, score in zip(t.members, focal_scores):
             cell = by_cell.setdefault((focal, t.size), [])
-            if scores.has_focal(focal):
-                cell.append(scores.score(focal, t))
+            if score is not None:
+                cell.append(score)
     rules = []
     for (focal, size), cell_scores in sorted(by_cell.items()):
         distinct = set(cell_scores)
@@ -220,12 +211,8 @@ def learn_fq_rules(metric: MetricId, cands: CandidateSet,
     return rules
 
 
-def _rule_map(rules) -> dict[tuple[int, int], SelectionRule]:
-    return {(r.focal, r.size): r for r in rules if r.focal is not None}
-
-
 def fq_select(metric: MetricId, cands: CandidateSet, rules,
-              scores: FocalScoreTable, mode: str = "all") -> SelectedSet:
+              table: FocalScoreTable, mode: str = "all") -> SelectedSet:
     """Apply per-focal rules to the candidates.
 
     A team is kept when its per-focal scores pass the cutoff for all of
@@ -235,24 +222,18 @@ def fq_select(metric: MetricId, cands: CandidateSet, rules,
     """
     if mode not in FQ_MODES:
         raise ValueError(f"unknown fq mode {mode!r} (expected one of {FQ_MODES})")
-    rmap = _rule_map(rules)
+    rule_by_cell = {(r.focal, r.size): r for r in rules if r.focal is not None}
     kept_teams: list[EnsembleTeam] = []
     kept_scores: list[float] = []
-    for t in cands:
+    for t, focal_scores in zip(cands, table.scores):
         votes = 0
-        focal_scores = []
-        for focal in t.members:
-            rule = rmap.get((focal, t.size))
+        for focal, score in zip(t.members, focal_scores):
+            rule = rule_by_cell.get((focal, t.size))
             if rule is None:
                 raise RuleCoverageError(
                     f"no rule for focal {focal}, team size {t.size}"
                 )
-            if scores.has_focal(focal):
-                s = scores.score(focal, t)
-                focal_scores.append(s)
-                votes += rule.keeps(s)
-            else:
-                votes += 1
+            votes += score is None or rule.keeps(score)
         if mode == "all":
             keep = votes == t.size
         elif mode == "any":
@@ -260,8 +241,9 @@ def fq_select(metric: MetricId, cands: CandidateSet, rules,
         else:
             keep = votes * 2 > t.size
         if keep:
+            scored = [s for s in focal_scores if s is not None]
             kept_teams.append(t)
-            kept_scores.append(float(np.mean(focal_scores)) if focal_scores else 0.0)
+            kept_scores.append(float(np.mean(scored)) if scored else 0.0)
     return SelectedSet(
         method=f"fq-{metric.value}-{mode}",
         teams=tuple(kept_teams),

@@ -132,7 +132,7 @@ def test_criterion_5_selection_quality_trend():
         neg_sets = focal_negative_sets(corr, FOCAL_SAMPLE_SIZE, seed)
         parts = []
         for metric in (MetricId.BD, MetricId.KW, MetricId.GD):
-            table = FocalScoreTable(metric, corr, neg_sets)
+            table = FocalScoreTable(metric, cands, corr, neg_sets)
             rules = learn_fq_rules(metric, cands, table)
             parts.append(fq_select(metric, cands, rules, table))
         fq_gd = parts[2]

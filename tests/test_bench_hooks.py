@@ -1,9 +1,11 @@
-"""The benchmark's tracer finds every function it wraps.
+"""The benchmark's tracer finds every function it wraps, and reads its calls.
 
 ``perfbench/tracer.py`` wraps functions by name where the CLI looks them
 up; a name that disappears is recorded as missing and its time silently
-leaves ``trace.coverage``.  This test makes such a deletion fail instead.
-A change that retires a hook from the benchmark updates ``EXPECTED_MISSING``.
+leaves ``trace.coverage``.  Its counters read the wrapped call's
+arguments, and a signature they no longer fit silently reads as no
+counts.  These tests make either drift fail instead.  A change that
+retires a hook from the benchmark updates ``EXPECTED_MISSING``.
 """
 
 import json
@@ -11,6 +13,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from divsel.diversity import MetricId
+from divsel.pool import CorrectnessMatrix
+from divsel.sampling import focal_negative_sets
+from divsel.selection import FocalScoreTable, learn_fq_rules
+from divsel.teaming import enumerate_teams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +42,45 @@ def test_tracer_hooks_resolve():
     hooks = json.loads(proc.stdout)
     assert hooks["missing"] == EXPECTED_MISSING
     assert hooks["tallies"] == ["divsel.cli.diversity_score", "divsel.selection.raw_score"]
+
+
+LEARN_PROBE = """
+import json, tracer
+import numpy as np
+t = tracer.Tracer("t")
+tracer.install(t)
+import divsel.cli as cli
+from divsel.pool import CorrectnessMatrix
+rows = np.array(json.loads(input()), dtype=np.uint8)
+corr = CorrectnessMatrix(omega=rows, accuracies=rows.mean(axis=1))
+cands = cli.enumerate_teams(rows.shape[0])
+table = cli.FocalScoreTable(cli.MetricId.BD, cands, corr,
+                            cli.focal_negative_sets(corr, 20, 4))
+cli.learn_fq_rules(cli.MetricId.BD, cands, table)
+print(json.dumps([s["counts"] for s in t.spans if s["name"] == "selection.learn_fq_rules.bd"]))
+"""
+
+
+def test_tracer_counts_rule_learning():
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 2, size=(5, 50))
+    rows[1] = 1  # never errs: no scores, keep-all cells
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", LEARN_PROBE], cwd=ROOT / "perfbench",
+                          env=env, input=json.dumps(rows.tolist()), capture_output=True,
+                          text=True, timeout=60, check=True)
+    [counts] = json.loads(proc.stdout)
+
+    corr = CorrectnessMatrix(omega=rows.astype(np.uint8), accuracies=rows.mean(axis=1))
+    cands = enumerate_teams(5)
+    table = FocalScoreTable(MetricId.BD, cands, corr, focal_negative_sets(corr, 20, 4))
+    rules = learn_fq_rules(MetricId.BD, cands, table)
+    expected = {
+        # every (team, member) pair whose member errs somewhere
+        "scores": sum(f != 1 for t in cands for f in t.members),
+        # one cell per (focal, size) for sizes 2..5
+        "rule_cells": 5 * 4,
+        "keep_all_cells": sum(r.keep_all for r in rules),
+    }
+    assert counts == expected
+    assert all(v > 0 for v in expected.values())

@@ -316,3 +316,51 @@ def test_bad_integer_files_exit_1(pool_dir, tmp_path, capsys, command, defect):
     assert main(argv + ["--train-indices", str(train)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["consensus", "report"])
+@pytest.mark.parametrize("gamma", ["nan", "-inf"])
+def test_boosting_gamma_must_be_finite(pool_dir, tmp_path, capsys, command, gamma):
+    manifest = str(pool_dir / "manifest.json")
+    if command == "consensus":
+        argv = ["consensus", "--pool", manifest, "--team", "01", "--method", "boosting"]
+    else:
+        selected = tmp_path / "sel.json"
+        selected.write_text(json.dumps({"method": "x", "pool_size": 5,
+                                        "num_candidates": 26, "teams": ["01"]}))
+        argv = ["report", "--pool", manifest, "--in", str(selected),
+                "--consensus", "boosting"]
+    assert main(argv + [f"--gamma={gamma}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_negative_seed_exits_1(pool_dir, capsys):
+    manifest = str(pool_dir / "manifest.json")
+    for argv in (["select", "--pool", manifest, "--method", "q"],
+                 ["diversity", "--pool", manifest],
+                 ["query", "--pool", manifest, "--team", "023"]):
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), argv
+    # fq and eq draw focal negatives on derived 64-bit seeds, never negative
+    for method in ("fq", "eq"):
+        assert main(["select", "--pool", manifest, "--method", method,
+                     "--seed", "-1"]) == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(pool_dir, tmp_path, capsys, threads):
+    manifest = str(pool_dir / "manifest.json")
+    selected = tmp_path / "sel.json"
+    selected.write_text(json.dumps({"method": "x", "pool_size": 5,
+                                    "num_candidates": 26, "teams": ["01"]}))
+    for argv in (["report", "--pool", manifest, "--in", str(selected)],
+                 ["recommend", "--pool", manifest, "--method", "q"],
+                 ["query", "--pool", manifest, "--team", "023"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from divsel.diversity import (MetricId, binary_disagreement, cohens_kappa,
-                              diversity_score, fleiss_kappa, generalized_diversity,
-                              kw_variance, normalize, pair_counts, pairwise_average,
-                              q_statistics, raw_score)
+from divsel.diversity import (MetricId, agreement_counts, binary_disagreement,
+                              cohens_kappa, diversity_score, fleiss_kappa,
+                              generalized_diversity, kw_variance, normalize,
+                              pairwise_average, q_statistics, raw_score)
 from divsel.errors import EmptyNegativesError
 from divsel.pool import CorrectnessMatrix
 from divsel.sampling import sample_subset
 from divsel.teaming import team
 
 from conftest import FIXTURE_WI, FIXTURE_WJ
-from oracles import o_normalized, o_raw
+from oracles import o_normalized, o_pair_counts, o_raw
 
 TOL = 1e-12
 
@@ -23,21 +25,28 @@ def corr_from(rows):
 
 # ------------------------------------------------------------- pair counts
 
+def pair_counts(wi, wj):
+    """(n11, n10, n01, n00) of one pair, read off the team count kernel."""
+    return tuple(int(c[0]) for c in agreement_counts([wi, wj]))
+
+
+def pair(metric_fn, wi, wj):
+    return metric_fn(*agreement_counts([wi, wj])).item()
+
+
 def test_pair_counts_fixture():
     pc = pair_counts(FIXTURE_WI, FIXTURE_WJ)
-    assert (pc.n11, pc.n10, pc.n01, pc.n00) == (5, 2, 1, 2)
-    assert pc.total == 10
+    assert pc == (5, 2, 1, 2)
+    assert sum(pc) == 10
 
 
 def test_pair_counts_identical():
     w = [1] * 7 + [0] * 3
-    pc = pair_counts(w, w)
-    assert (pc.n11, pc.n10, pc.n01, pc.n00) == (7, 0, 0, 3)
+    assert pair_counts(w, w) == (7, 0, 0, 3)
 
 
 def test_pair_counts_opposite():
-    pc = pair_counts([1, 1, 1, 1], [0, 0, 0, 0])
-    assert (pc.n11, pc.n10, pc.n01, pc.n00) == (0, 4, 0, 0)
+    assert pair_counts([1, 1, 1, 1], [0, 0, 0, 0]) == (0, 4, 0, 0)
 
 
 def test_pair_counts_errors():
@@ -47,33 +56,41 @@ def test_pair_counts_errors():
         pair_counts([], [])
 
 
+def test_agreement_counts_in_pair_order():
+    rows = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+    counts = np.stack(agreement_counts(rows), axis=1)
+    expected = [o_pair_counts(rows[i].tolist(), rows[j].tolist())
+                for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert counts.tolist() == [list(c) for c in expected]
+
+
 # ------------------------------------------------------- pairwise metrics
 
 def test_cohens_kappa_fixture():
-    assert cohens_kappa(pair_counts(FIXTURE_WI, FIXTURE_WJ)) == pytest.approx(16 / 45)
+    assert pair(cohens_kappa, FIXTURE_WI, FIXTURE_WJ) == pytest.approx(16 / 45)
 
 
 def test_cohens_kappa_perfect_agreement():
     w = [1] * 7 + [0] * 3
-    assert cohens_kappa(pair_counts(w, w)) == 1.0
+    assert pair(cohens_kappa, w, w) == 1.0
 
 
 def test_cohens_kappa_degenerate_returns_zero():
-    assert cohens_kappa(pair_counts([1, 1, 1, 1], [0, 0, 0, 0])) == 0.0
+    assert pair(cohens_kappa, [1, 1, 1, 1], [0, 0, 0, 0]) == 0.0
 
 
 def test_q_statistics_values():
-    assert q_statistics(pair_counts(FIXTURE_WI, FIXTURE_WJ)) == pytest.approx(2 / 3)
+    assert pair(q_statistics, FIXTURE_WI, FIXTURE_WJ) == pytest.approx(2 / 3)
     w = [1] * 7 + [0] * 3
-    assert q_statistics(pair_counts(w, w)) == 1.0
-    assert q_statistics(pair_counts([1, 1, 0, 0], [0, 0, 1, 1])) == -1.0
+    assert pair(q_statistics, w, w) == 1.0
+    assert pair(q_statistics, [1, 1, 0, 0], [0, 0, 1, 1]) == -1.0
 
 
 def test_binary_disagreement_values():
-    assert binary_disagreement(pair_counts(FIXTURE_WI, FIXTURE_WJ)) == pytest.approx(0.3)
+    assert pair(binary_disagreement, FIXTURE_WI, FIXTURE_WJ) == pytest.approx(0.3)
     w = [1] * 7 + [0] * 3
-    assert binary_disagreement(pair_counts(w, w)) == 0.0
-    assert binary_disagreement(pair_counts([1, 1, 0, 0], [0, 0, 1, 1])) == 1.0
+    assert pair(binary_disagreement, w, w) == 0.0
+    assert pair(binary_disagreement, [1, 1, 0, 0], [0, 0, 1, 1]) == 1.0
 
 
 def test_pairwise_average_single_pair_and_identical_rows():
@@ -148,6 +165,31 @@ def test_oracle_equivalence_200_instances():
         for metric in MetricId:
             assert raw_score(metric, rows) == pytest.approx(
                 o_raw(metric.value, listed), abs=TOL), (metric, listed)
+
+
+@st.composite
+def team_rows(draw):
+    """Correctness rows of a team of 2-12, random or degenerate."""
+    s = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "all correct", "all wrong", "identical"]))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    if kind == "random":
+        return [draw(bits) for _ in range(s)]
+    if kind == "identical":
+        return [draw(bits)] * s
+    return [[int(kind == "all correct")] * n] * s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=team_rows())
+@example(rows=[[1], [0]])
+@example(rows=[[0]] * 12)
+@example(rows=[[1, 0, 1]] * 12)
+def test_raw_score_matches_oracle(rows):
+    for metric in MetricId:
+        assert raw_score(metric, np.array(rows, dtype=np.uint8)) == pytest.approx(
+            o_raw(metric.value, rows), abs=TOL), metric
 
 
 def test_pairwise_symmetry():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from divsel.diversity import MetricId
+from divsel.diversity import MetricId, normalize, raw_score
 from divsel.errors import DivselError, RuleCoverageError
 from divsel.pool import CorrectnessMatrix, correctness
 from divsel.sampling import focal_negative_sets, sample_subset
@@ -22,17 +22,12 @@ def corr_from(rows):
 
 
 class StubScores:
-    """Score table driven by an explicit (focal, members) -> score map."""
+    """Score table driven by an explicit (focal, members) -> score map;
+    a focal the map lacks has no score, like a model that never errs."""
 
-    def __init__(self, mapping, missing=()):
-        self.mapping = mapping
-        self.missing = set(missing)
-
-    def has_focal(self, focal):
-        return focal not in self.missing
-
-    def score(self, focal, t):
-        return self.mapping[(focal, t.members)]
+    def __init__(self, cands, mapping):
+        self.scores = [tuple(mapping.get((f, t.members)) for f in t.members)
+                       for t in cands]
 
 
 # ---------------------------------------------------------- mean threshold
@@ -127,7 +122,7 @@ def test_learn_fq_rules_cutoff_from_clusters():
         for focal in t.members:
             other = [m for m in t.members if m != focal][0]
             mapping[(focal, t.members)] = values.get((focal, other), 0.3)
-    rules = learn_fq_rules(MetricId.GD, cands, StubScores(mapping))
+    rules = learn_fq_rules(MetricId.GD, cands, StubScores(cands, mapping))
     by_cell = {(r.focal, r.size): r for r in rules}
     rule = by_cell[(0, 2)]
     assert rule.cutoff == pytest.approx(0.31)
@@ -137,9 +132,9 @@ def test_learn_fq_rules_cutoff_from_clusters():
 def test_learn_fq_rules_degenerate_cell_keeps_all():
     cands = enumerate_teams(3)
     mapping = {(f, t.members): 0.25 for t in cands for f in t.members}
-    rules = learn_fq_rules(MetricId.GD, cands, StubScores(mapping))
+    rules = learn_fq_rules(MetricId.GD, cands, StubScores(cands, mapping))
     assert all(r.keep_all for r in rules)
-    selected = fq_select(MetricId.GD, cands, rules, StubScores(mapping))
+    selected = fq_select(MetricId.GD, cands, rules, StubScores(cands, mapping))
     assert selected.team_keys() == {t.key for t in cands}
 
 
@@ -148,7 +143,7 @@ def test_learn_fq_rules_single_team_cell_degenerate():
     cands = enumerate_teams(4)
     rng = np.random.default_rng(1)
     mapping = {(f, t.members): float(rng.random()) for t in cands for f in t.members}
-    rules = learn_fq_rules(MetricId.GD, cands, StubScores(mapping))
+    rules = learn_fq_rules(MetricId.GD, cands, StubScores(cands, mapping))
     by_cell = {(r.focal, r.size): r for r in rules}
     for focal in range(4):
         assert by_cell[(focal, 4)].keep_all
@@ -159,18 +154,18 @@ def test_fq_select_mode_semantics():
     rules = [SelectionRule(metric=MetricId.GD, cutoff=0.5, focal=f, size=3)
              for f in range(3)]
 
-    kept_everywhere = StubScores({(f, (0, 1, 2)): 0.1 for f in range(3)})
+    kept_everywhere = StubScores(cands, {(f, (0, 1, 2)): 0.1 for f in range(3)})
     for mode in ("all", "any", "majority"):
         assert len(fq_select(MetricId.GD, cands, rules, kept_everywhere, mode)) == 1
 
-    kept_by_one = StubScores({(0, (0, 1, 2)): 0.1, (1, (0, 1, 2)): 0.9,
-                              (2, (0, 1, 2)): 0.9})
+    kept_by_one = StubScores(cands, {(0, (0, 1, 2)): 0.1, (1, (0, 1, 2)): 0.9,
+                                     (2, (0, 1, 2)): 0.9})
     assert len(fq_select(MetricId.GD, cands, rules, kept_by_one, "any")) == 1
     assert len(fq_select(MetricId.GD, cands, rules, kept_by_one, "majority")) == 0
     assert len(fq_select(MetricId.GD, cands, rules, kept_by_one, "all")) == 0
 
-    kept_by_two = StubScores({(0, (0, 1, 2)): 0.1, (1, (0, 1, 2)): 0.1,
-                              (2, (0, 1, 2)): 0.9})
+    kept_by_two = StubScores(cands, {(0, (0, 1, 2)): 0.1, (1, (0, 1, 2)): 0.1,
+                                     (2, (0, 1, 2)): 0.9})
     assert len(fq_select(MetricId.GD, cands, rules, kept_by_two, "majority")) == 1
     assert len(fq_select(MetricId.GD, cands, rules, kept_by_two, "all")) == 0
 
@@ -178,7 +173,27 @@ def test_fq_select_mode_semantics():
 def test_fq_select_missing_rule_coverage():
     cands = enumerate_teams(3)
     with pytest.raises(RuleCoverageError):
-        fq_select(MetricId.GD, cands, [], StubScores({}))
+        fq_select(MetricId.GD, cands, [], StubScores(cands, {}))
+
+
+def test_focal_score_table_matches_raw_score_per_cell():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 2, size=(5, 60))
+    rows[2] = 1  # model 2 never errs: no negatives, no scores
+    corr = corr_from(rows)
+    cands = enumerate_teams(5)
+    neg_sets = focal_negative_sets(corr, 25, 9)
+    assert 2 not in neg_sets
+    for metric in MetricId:
+        table = FocalScoreTable(metric, cands, corr, neg_sets)
+        assert table.neg_sets is neg_sets
+        assert len(table.scores) == len(cands)
+        for t, focal_scores in zip(cands, table.scores):
+            expected = tuple(
+                None if f == 2 else normalize(metric, raw_score(
+                    metric, corr.omega[np.asarray(t.members)][:, neg_sets[f].indices]))
+                for f in t.members)
+            assert focal_scores == expected, (metric, t.key)
 
 
 def test_fq_select_mode_nesting_on_synthetic_pool():
@@ -187,7 +202,8 @@ def test_fq_select_mode_nesting_on_synthetic_pool():
                       groups=(CorrelationGroup((2, 3), 0.9),), seed=5)
     corr = correctness(generate_pool(cfg))
     cands = enumerate_teams(6)
-    table = FocalScoreTable(MetricId.GD, corr, focal_negative_sets(corr, 100, 5))
+    table = FocalScoreTable(MetricId.GD, cands, corr,
+                            focal_negative_sets(corr, 100, 5))
     rules = learn_fq_rules(MetricId.GD, cands, table)
     sel_all = fq_select(MetricId.GD, cands, rules, table, "all").team_keys()
     sel_maj = fq_select(MetricId.GD, cands, rules, table, "majority").team_keys()
@@ -209,7 +225,7 @@ def test_fq_prunes_planted_duplicates_across_seeds():
             accuracies=(0.95, 0.94, 0.93, 0.92, 0.9, 0.9, 0.89, 0.88, 0.87, 0.86),
             groups=(CorrelationGroup((4, 5), 1.0),), seed=seed)
         corr = correctness(generate_pool(cfg))
-        table = FocalScoreTable(MetricId.GD, corr,
+        table = FocalScoreTable(MetricId.GD, cands, corr,
                                 focal_negative_sets(corr, 100, seed))
         rules = learn_fq_rules(MetricId.GD, cands, table)
         kept = fq_select(MetricId.GD, cands, rules, table).team_keys()
