@@ -80,6 +80,9 @@ def _select(args, cands: CandidateSet, corr: CorrectnessMatrix):
     rules_path = getattr(args, "rules_in", None)
     if rules_path and args.method != "fq":
         raise DivselError(f"--rules-in needs --method fq, not --method {args.method}")
+    if args.method != "q" and (args.sampling != "any" or args.focal is not None):
+        raise DivselError(f"--sampling and --focal need --method q, not --method "
+                          f"{args.method}; fq and eq draw focal negatives per model")
     if args.method == "q":
         metric = MetricId.parse(args.metric)
         neg = build_negative_set(corr, args.sampling, args.sample_size, args.seed,
@@ -95,6 +98,8 @@ def _select(args, cands: CandidateSet, corr: CorrectnessMatrix):
             raise DivselError(str(exc))
         if len(metrics) < 2:
             raise DivselError("--eq-metrics needs at least two metrics")
+        if len(set(metrics)) < len(metrics):
+            raise DivselError(f"--eq-metrics repeats a metric: {args.eq_metrics}")
     stored = None
     if rules_path:
         stored = load_rules(rules_path)
@@ -136,7 +141,7 @@ def cmd_diversity(args) -> int:
     metric = MetricId.parse(args.metric)
     neg = build_negative_set(corr, args.sampling, args.sample_size, args.seed,
                              focal=args.focal)
-    if args.team:
+    if args.team is not None:
         teams = [parse_team(args.team)]
         _check_team(teams[0], pool)
     else:
@@ -441,10 +446,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DivselError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DivselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

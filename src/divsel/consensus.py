@@ -61,19 +61,6 @@ class EnsemblePrediction:
     probs: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class MemberWeights:
-    """Non-negative member weights summing to 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
-
-
 def _member_probs(team: EnsembleTeam, pool: PredictionPool, what: str):
     missing = [i for i in team.members if not pool.models[i].has_probs]
     if missing:
@@ -120,8 +107,9 @@ def plurality_vote(team: EnsembleTeam, pool: PredictionPool) -> EnsemblePredicti
 
 
 def boosting_weights(team: EnsembleTeam, pool: PredictionPool,
-                     train_indices=None, gamma: float = DEFAULT_GAMMA) -> MemberWeights:
-    """Learn member weights by multiplicative error penalties.
+                     train_indices=None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+    """Learn member weights, in member order and summing to 1, by
+    multiplicative error penalties.
 
     Each training error multiplies a member's weight by e^gamma before the
     weights are renormalized, so w_i is proportional to e^(gamma * e_i),
@@ -143,20 +131,17 @@ def boosting_weights(team: EnsembleTeam, pool: PredictionPool,
     errors = np.array([np.count_nonzero(pool.models[i].pred_labels[train] != labels)
                        for i in team.members])
     weights = np.exp(gamma * (errors - errors.min()))
-    weights /= weights.sum()
-    return MemberWeights(weights=weights)
+    return weights / weights.sum()
 
 
 def boosting_vote(team: EnsembleTeam, pool: PredictionPool,
-                  weights: MemberWeights) -> EnsemblePrediction:
-    """Weighted soft voting using learned member weights."""
+                  weights: np.ndarray) -> EnsemblePrediction:
+    """Weighted soft voting with one weight per member, in member order."""
     probs = _member_probs(team, pool, "boosting voting")
-    if weights.weights.shape[0] != team.size:
-        raise DivselError(
-            f"got {weights.weights.shape[0]} weights for a team of {team.size}"
-        )
+    if weights.shape[0] != team.size:
+        raise DivselError(f"got {weights.shape[0]} weights for a team of {team.size}")
     combined = np.zeros_like(probs[0])
-    for w, p in zip(weights.weights, probs):
+    for w, p in zip(weights, probs):
         combined += w * p
     combined /= team.size
     preds = combined.argmax(axis=1)

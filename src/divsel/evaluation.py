@@ -21,7 +21,11 @@ from .teaming import EnsembleTeam
 
 @dataclass(frozen=True)
 class TeamEvaluation:
-    team: EnsembleTeam
+    """One team (by key) against its best member and the pool; the fields,
+    in order, are the keys of its JSON record."""
+
+    team: str
+    size: int
     ensemble_accuracy: float
     member_max_accuracy: float
     member_max_id: int
@@ -37,12 +41,13 @@ class SetReport:
 
     Accuracy fields are fractions in [0, 1] at full precision; the
     ``pct_*`` fields hold count/len(set) fractions.  Rounding to the
-    2-decimal percent presentation happens only when rendering.
+    2-decimal percent presentation happens only when rendering.  The
+    fields, in order, are the keys of the report's JSON record.
     """
 
     method: str
-    candidate_count: int
-    count: int
+    num_candidates: int
+    num_selected: int
     acc_min: float | None
     acc_max: float | None
     acc_mean: float | None
@@ -65,7 +70,8 @@ def evaluate_team(team: EnsembleTeam, pool: PredictionPool, corr: CorrectnessMat
     m_max = float(member_accs[best_pos])
     p_max = float(corr.accuracies.max())
     return TeamEvaluation(
-        team=team,
+        team=team.key,
+        size=team.size,
         ensemble_accuracy=accuracy,
         member_max_accuracy=m_max,
         member_max_id=team.members[best_pos],
@@ -83,14 +89,14 @@ def evaluate_teams(teams, pool: PredictionPool, corr: CorrectnessMatrix,
                         threads=threads)
 
 
-def summarize(method_label: str, evals, candidate_count: int,
+def summarize(method_label: str, evals, num_candidates: int,
               pool_max_accuracy: float) -> SetReport:
     """Reduce per-team evaluations to a SetReport."""
     evals = list(evals)
     count = len(evals)
     if count == 0:
         return SetReport(
-            method=method_label, candidate_count=candidate_count, count=0,
+            method=method_label, num_candidates=num_candidates, num_selected=0,
             acc_min=None, acc_max=None, acc_mean=None, acc_std=None,
             pool_max_accuracy=pool_max_accuracy,
             num_beats_members=0, pct_beats_members=0.0,
@@ -102,11 +108,11 @@ def summarize(method_label: str, evals, candidate_count: int,
     n_pool = sum(e.beats_pool for e in evals)
     best_acc = float(accs.max())
     # deterministic tie-break: smallest canonical team string among the best
-    best_team = min(e.team.key for e in evals if e.ensemble_accuracy == best_acc)
+    best_team = min(e.team for e in evals if e.ensemble_accuracy == best_acc)
     return SetReport(
         method=method_label,
-        candidate_count=candidate_count,
-        count=count,
+        num_candidates=num_candidates,
+        num_selected=count,
         acc_min=float(accs.min()),
         acc_max=best_acc,
         acc_mean=float(accs.mean()),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DivselError
@@ -39,22 +40,7 @@ def _pct(value: float | None) -> str:
 
 
 def set_report_to_dict(report: SetReport) -> dict:
-    return {
-        "method": report.method,
-        "num_candidates": report.candidate_count,
-        "num_selected": report.count,
-        "acc_min": report.acc_min,
-        "acc_max": report.acc_max,
-        "acc_mean": report.acc_mean,
-        "acc_std": report.acc_std,
-        "pool_max_accuracy": report.pool_max_accuracy,
-        "num_beats_members": report.num_beats_members,
-        "pct_beats_members": report.pct_beats_members,
-        "num_beats_pool": report.num_beats_pool,
-        "pct_beats_pool": report.pct_beats_pool,
-        "best_team": report.best_team,
-        "best_accuracy": report.best_accuracy,
-    }
+    return asdict(report)
 
 
 def set_reports_to_csv(reports) -> str:
@@ -63,11 +49,11 @@ def set_reports_to_csv(reports) -> str:
     writer.writerow(CSV_COLUMNS)
     for r in reports:
         writer.writerow([
-            r.method, r.candidate_count, r.count,
+            r.method, r.num_candidates, r.num_selected,
             _pct(r.acc_min), _pct(r.acc_max), _pct(r.acc_mean),
             "" if r.acc_std is None else f"{100.0 * r.acc_std:.4f}",
-            r.num_beats_members, format_percent(r.num_beats_members, r.count),
-            r.num_beats_pool, format_percent(r.num_beats_pool, r.count),
+            r.num_beats_members, format_percent(r.num_beats_members, r.num_selected),
+            r.num_beats_pool, format_percent(r.num_beats_pool, r.num_selected),
             r.best_team or "", _pct(r.best_accuracy),
         ])
     return buf.getvalue()
@@ -78,18 +64,18 @@ def set_reports_to_table(reports) -> str:
               ">=m_max", ">=p_max", "best"]
     rows = [header]
     for r in reports:
-        if r.count == 0:
+        n = r.num_selected
+        if n == 0:
             rng = avg = std = best = "-"
             mm = pm = "0 (0.00%)"
         else:
             rng = f"{_pct(r.acc_min)}~{_pct(r.acc_max)}"
             avg = _pct(r.acc_mean)
             std = f"{100.0 * r.acc_std:.4f}"
-            mm = f"{r.num_beats_members} ({format_percent(r.num_beats_members, r.count)}%)"
-            pm = f"{r.num_beats_pool} ({format_percent(r.num_beats_pool, r.count)}%)"
+            mm = f"{r.num_beats_members} ({format_percent(r.num_beats_members, n)}%)"
+            pm = f"{r.num_beats_pool} ({format_percent(r.num_beats_pool, n)}%)"
             best = f"{r.best_team} @ {_pct(r.best_accuracy)}"
-        rows.append([r.method, str(r.candidate_count), str(r.count),
-                     rng, avg, std, mm, pm, best])
+        rows.append([r.method, str(r.num_candidates), str(n), rng, avg, std, mm, pm, best])
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
@@ -98,20 +84,7 @@ def set_reports_to_table(reports) -> str:
 
 
 def team_evaluations_to_dicts(evals) -> list[dict]:
-    return [
-        {
-            "team": e.team.key,
-            "size": e.team.size,
-            "ensemble_accuracy": e.ensemble_accuracy,
-            "member_max_accuracy": e.member_max_accuracy,
-            "member_max_id": e.member_max_id,
-            "pool_max_accuracy": e.pool_max_accuracy,
-            "improvement": e.improvement,
-            "beats_members": e.beats_members,
-            "beats_pool": e.beats_pool,
-        }
-        for e in evals
-    ]
+    return [asdict(e) for e in evals]
 
 
 def selected_set_to_dict(selected: SelectedSet) -> dict:

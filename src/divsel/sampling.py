@@ -37,7 +37,6 @@ class NegativeSampleSet:
     scheme: str
     indices: np.ndarray
     seed: int
-    requested_size: int
     focal: int | None = None
 
     def __post_init__(self):
@@ -108,8 +107,7 @@ def sample_subset(full: np.ndarray, size: int, seed: int,
         chosen = np.sort(pool[:size])
     chosen = chosen.copy()
     chosen.setflags(write=False)
-    return NegativeSampleSet(scheme=scheme, indices=chosen, seed=seed,
-                             requested_size=size, focal=focal)
+    return NegativeSampleSet(scheme=scheme, indices=chosen, seed=seed, focal=focal)
 
 
 def build_negative_set(corr: CorrectnessMatrix, scheme: str, size: int, seed: int,
@@ -135,11 +133,5 @@ def focal_negative_sets(corr: CorrectnessMatrix, size: int,
     Focal models that never err have no negatives; they are simply absent
     from the result (callers treat their cells as keep-all).
     """
-    sets: dict[int, NegativeSampleSet] = {}
-    for focal in range(corr.num_models):
-        full = negatives_focal(corr, focal)
-        if full.size == 0:
-            continue
-        sets[focal] = sample_subset(full, size, derive_seed(base_seed, focal),
-                                    scheme="focal", focal=focal)
-    return sets
+    return {f: build_negative_set(corr, "focal", size, derive_seed(base_seed, f), focal=f)
+            for f in range(corr.num_models) if not corr.omega[f].all()}

@@ -44,9 +44,6 @@ class EnsembleTeam:
             return "".join(str(i) for i in self.members)
         return "-".join(str(i) for i in self.members)
 
-    def __str__(self) -> str:
-        return self.key
-
 
 def team(*members: int) -> EnsembleTeam:
     """Convenience constructor: ``team(0, 2, 5)``."""

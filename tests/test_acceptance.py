@@ -13,9 +13,8 @@ import time
 import numpy as np
 
 from divsel.cli import main
-from divsel.consensus import (ABSTAIN, ConsensusMethod, MemberWeights, boosting_vote,
-                              boosting_weights, majority_vote, plurality_vote,
-                              soft_vote)
+from divsel.consensus import (ABSTAIN, ConsensusMethod, boosting_vote, boosting_weights,
+                              majority_vote, plurality_vote, soft_vote)
 from divsel.diversity import MetricId, pairwise_average, raw_score
 from divsel.evaluation import evaluate_teams, summarize
 from divsel.pool import correctness, write_pool
@@ -127,7 +126,7 @@ def test_criterion_5_selection_quality_trend():
         evals = evaluate_teams(cands.teams, pool, corr, soft)
         baseline = summarize("baseline", evals, len(cands),
                              float(corr.accuracies.max()))
-        by_key = {e.team.key: e for e in evals}
+        by_key = {e.team: e for e in evals}
 
         neg_sets = focal_negative_sets(corr, FOCAL_SAMPLE_SIZE, seed)
         parts = []
@@ -180,13 +179,13 @@ def test_criterion_6_consensus_invariants():
 
     # boosting: hand value, sum contract, uniform-weight equivalence
     one = pool_from_probs([0], [[[0.2, 0.8]], [[0.9, 0.1]]], num_classes=2)
-    w = boosting_weights(team(0, 1), one, gamma=-0.01).weights
+    w = boosting_weights(team(0, 1), one, gamma=-0.01)
     hand_ok = (abs(w[0] - 0.49751) <= 1e-5 and abs(w[1] - 0.50249) <= 1e-5
                and abs(float(w.sum()) - 1.0) <= 1e-9)
 
     pool10 = _pool10(seed=606, num_samples=1000)
     t10 = team(0, 3, 5, 7)
-    uniform = MemberWeights(weights=np.full(4, 0.25))
+    uniform = np.full(4, 0.25)
     boost_soft_ok = bool((boosting_vote(t10, pool10, uniform).labels
                           == soft_vote(t10, pool10).labels).all())
 

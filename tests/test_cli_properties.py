@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from divsel.cli import main
-from divsel.consensus import (DEFAULT_GAMMA, METHODS, ConsensusMethod, MemberWeights,
-                              boosting_vote, boosting_weights)
+from divsel.consensus import (DEFAULT_GAMMA, METHODS, ConsensusMethod, boosting_vote,
+                              boosting_weights)
 from divsel.evaluation import evaluate_teams, summarize
 from divsel.pool import correctness, load_pool
 from divsel.report import set_report_to_dict
@@ -144,7 +144,7 @@ def test_boosting_vote_same_with_walked_weights(pool5):
             closed = boosting_weights(t, pool, train_indices=train)
             np.testing.assert_array_equal(
                 boosting_vote(t, pool, closed).labels,
-                boosting_vote(t, pool, MemberWeights(weights=np.array(walked))).labels)
+                boosting_vote(t, pool, np.array(walked)).labels)
 
 
 # ---------------------------------------------------------------- fuzz

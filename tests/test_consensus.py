@@ -4,9 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsel.consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction,
-                              MemberWeights, boosting_vote, boosting_weights,
-                              ensemble_accuracy, majority_vote, plurality_vote,
-                              predict, soft_vote)
+                              boosting_vote, boosting_weights, ensemble_accuracy,
+                              majority_vote, plurality_vote, predict, soft_vote)
 from divsel.errors import CapabilityError, DivselError
 from divsel.teaming import team
 
@@ -111,15 +110,15 @@ def test_boosting_weights_no_errors_stay_uniform():
     probs[np.arange(50), labels] = 0.8
     pool = pool_from_probs(labels, [probs, probs.copy(), probs.copy()], num_classes=3)
     w = boosting_weights(team(0, 1, 2), pool)
-    np.testing.assert_array_equal(w.weights, np.full(3, 1 / 3))
+    np.testing.assert_array_equal(w, np.full(3, 1 / 3))
 
 
 def test_boosting_weights_hand_value():
     pool = _two_model_pool(member0_wrong=True)
     w = boosting_weights(team(0, 1), pool, gamma=-0.01)
-    assert w.weights[0] == pytest.approx(0.49751, abs=1e-5)
-    assert w.weights[1] == pytest.approx(0.50249, abs=1e-5)
-    assert abs(w.weights.sum() - 1.0) <= 1e-9
+    assert w[0] == pytest.approx(0.49751, abs=1e-5)
+    assert w[1] == pytest.approx(0.50249, abs=1e-5)
+    assert abs(w.sum() - 1.0) <= 1e-9
 
 
 def test_boosting_weights_sum_to_one():
@@ -132,7 +131,7 @@ def test_boosting_weights_sum_to_one():
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=4)
     w = boosting_weights(team(0, 1, 2, 3), pool)
-    assert abs(float(w.weights.sum()) - 1.0) <= 1e-9
+    assert abs(float(w.sum()) - 1.0) <= 1e-9
 
 
 def test_boosting_weights_more_errors_means_smaller_weight():
@@ -147,7 +146,7 @@ def test_boosting_weights_more_errors_means_smaller_weight():
         p[np.arange(300), preds] = 0.8
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=3)
-    w = boosting_weights(team(0, 1, 2), pool).weights
+    w = boosting_weights(team(0, 1, 2), pool)
     errors = [int((pool.models[i].pred_labels != labels).sum()) for i in range(3)]
     assert errors[0] < errors[1] < errors[2]
     assert w[0] > w[1] > w[2]
@@ -198,7 +197,7 @@ def test_boosting_weights_match_walk_oracle(case):
     pool = pool_from_probs(labels, mats, num_classes=num_classes)
     w = boosting_weights(team(*range(len(preds))), pool, train_indices=train, gamma=gamma)
     walked = o_boosting_weights(preds, labels, range(n) if train is None else train, gamma)
-    np.testing.assert_allclose(w.weights, walked, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w, walked, rtol=0, atol=1e-12)
 
 
 def test_boosting_weights_do_not_underflow_at_large_error_counts():
@@ -210,7 +209,7 @@ def test_boosting_weights_do_not_underflow_at_large_error_counts():
         p[:errors] = [0.1, 0.9]
         mats.append(p)
     pool = pool_from_probs(np.zeros(n, dtype=np.int64), mats, num_classes=2)
-    w = boosting_weights(team(0, 1, 2), pool, gamma=-0.01).weights
+    w = boosting_weights(team(0, 1, 2), pool, gamma=-0.01)
     assert np.all(np.isfinite(w))
     assert abs(float(w.sum()) - 1.0) <= 1e-12
     assert w.argmax() == 1
@@ -226,7 +225,7 @@ def test_boosting_vote_uniform_weights_equal_soft_vote():
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=5)
     t = team(0, 1, 2, 3)
-    uniform = MemberWeights(weights=np.full(4, 0.25))
+    uniform = np.full(4, 0.25)
     np.testing.assert_array_equal(boosting_vote(t, pool, uniform).labels,
                                   soft_vote(t, pool).labels)
 
@@ -234,17 +233,23 @@ def test_boosting_vote_uniform_weights_equal_soft_vote():
 def test_boosting_vote_degenerate_weights_follow_single_member():
     pool = pool_from_probs([0, 1], [[[0.6, 0.4], [0.3, 0.7]],
                                     [[0.2, 0.8], [0.9, 0.1]]], num_classes=2)
-    w = MemberWeights(weights=np.array([1.0, 0.0]))
+    w = np.array([1.0, 0.0])
     pred = boosting_vote(team(0, 1), pool, w)
     np.testing.assert_array_equal(pred.labels, pool.models[0].pred_labels)
 
 
 def test_boosting_vote_hand_value():
     pool = pool_from_probs([1], [[[0.6, 0.4]], [[0.2, 0.8]]], num_classes=2)
-    w = MemberWeights(weights=np.array([0.7, 0.3]))
+    w = np.array([0.7, 0.3])
     pred = boosting_vote(team(0, 1), pool, w)
     assert pred.labels[0] == 1  # combined mass proportional to [0.48, 0.52]
     np.testing.assert_allclose(pred.probs[0], [0.48, 0.52])
+
+
+def test_boosting_vote_needs_one_weight_per_member():
+    pool = pool_from_probs([1], [[[0.6, 0.4]], [[0.2, 0.8]]], num_classes=2)
+    with pytest.raises(DivselError, match="got 3 weights for a team of 2"):
+        boosting_vote(team(0, 1), pool, np.full(3, 1 / 3))
 
 
 def test_boosting_vote_scale_invariant_argmax():
@@ -258,19 +263,12 @@ def test_boosting_vote_scale_invariant_argmax():
     pool = pool_from_probs(labels, mats, num_classes=3)
     t = team(0, 1, 2)
     w = np.array([0.5, 0.3, 0.2])
-    base = boosting_vote(t, pool, MemberWeights(weights=w)).labels
+    base = boosting_vote(t, pool, w).labels
     # scaling all weights by a positive constant cannot move any argmax
     probs = [pool.models[i].probs for i in t.members]
     for scale in (0.1, 3.0, 250.0):
         combined = sum(sw * p for sw, p in zip(w * scale, probs))
         np.testing.assert_array_equal(combined.argmax(axis=1), base)
-
-
-def test_member_weights_validation():
-    with pytest.raises(ValueError):
-        MemberWeights(weights=np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        MemberWeights(weights=np.array([1.5, -0.5]))
 
 
 # ------------------------------------------------------- ensemble accuracy

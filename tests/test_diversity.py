@@ -266,8 +266,7 @@ def test_diversity_score_restricts_to_negative_columns():
 def test_diversity_score_empty_negatives():
     corr = corr_from([FIXTURE_WI, FIXTURE_WJ])
     good = sample_subset(np.arange(10), 10, seed=0)
-    empty = type(good)(scheme="any", indices=np.array([], dtype=np.int64),
-                       seed=0, requested_size=10)
+    empty = type(good)(scheme="any", indices=np.array([], dtype=np.int64), seed=0)
     with pytest.raises(EmptyNegativesError):
         diversity_score(MetricId.BD, team(0, 1), corr, empty)
 

@@ -42,7 +42,7 @@ def test_full_team_member_max_equals_pool_max(small_pool):
 def test_single_team_report(small_pool):
     pool, corr = small_pool
     report = evaluate_set([team(0, 1)], pool, corr, SOFT, "single")
-    assert report.count == 1
+    assert report.num_selected == 1
     assert report.acc_min == report.acc_max == report.acc_mean
     assert report.acc_std == 0.0
     assert report.best_team == "01"
@@ -96,7 +96,7 @@ def test_best_team_tie_break_is_canonical_string(small_pool):
 
 def test_empty_set_report():
     report = summarize("empty", [], 10, 0.9)
-    assert report.count == 0
+    assert report.num_selected == 0
     assert report.acc_min is None and report.best_team is None
 
 
@@ -136,7 +136,7 @@ def test_csv_column_order(small_pool):
 def test_csv_presentation_of_known_report():
     from divsel.evaluation import SetReport
     report = SetReport(
-        method="baseline", candidate_count=247, count=247,
+        method="baseline", num_candidates=247, num_selected=247,
         acc_min=0.8575, acc_max=0.9275, acc_mean=0.9035, acc_std=0.0223,
         pool_max_accuracy=0.925,
         num_beats_members=62, pct_beats_members=62 / 247,
