@@ -18,9 +18,8 @@ from .errors import (CapabilityError, DivselError, EmptyNegativesError, PoolErro
 from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_team
 from .pool import (CorrectnessMatrix, ModelRecord, PredictionPool, build_pool,
                    correctness, load_pool, write_pool)
-from .sampling import (NegativeSampleSet, build_negative_set, derive_seed,
-                       focal_negative_sets, negatives_all, negatives_any,
-                       negatives_focal, sample_subset)
+from .sampling import (build_negative_set, derive_seed, focal_negative_sets,
+                       negatives_all, negatives_any, negatives_focal, sample_subset)
 from .selection import (FocalScoreTable, SelectedSet, SelectionRule, eq_fuse,
                         fq_select, learn_fq_rules, load_rules, q_select, save_rules,
                         two_means_split)

@@ -151,8 +151,11 @@ def cmd_diversity(args) -> int:
         {"team": t.key, "size": t.size, "raw": raw, "normalized": normalize(metric, raw)}
         for t, raw in zip(teams, raws)
     ]
+    # build_negative_set takes --focal with --sampling focal only
+    tag = args.sampling if args.focal is None else f"focal:{args.focal}"
+    context = f"{tag}[n={len(neg)},seed={args.seed}]"
     if fmt == "json":
-        _emit(rpt.dumps({"metric": metric.value, "context": neg.descriptor,
+        _emit(rpt.dumps({"metric": metric.value, "context": context,
                          "scores": rows}), args.out)
     elif fmt == "csv":
         lines = ["team,size,raw,normalized"]
@@ -160,7 +163,7 @@ def cmd_diversity(args) -> int:
                   for r in rows]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        lines = [f"metric={metric.value} context={neg.descriptor}"]
+        lines = [f"metric={metric.value} context={context}"]
         lines += [f"{r['team']:>12}  raw={r['raw']:+.4f}  "
                   f"score={r['normalized']:.4f}" for r in rows]
         _emit("\n".join(lines) + "\n", args.out)

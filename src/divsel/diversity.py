@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import EmptyNegativesError
 from .pool import CorrectnessMatrix
-from .sampling import NegativeSampleSet
 from .teaming import EnsembleTeam
 
 
@@ -175,8 +174,9 @@ def normalize(metric: MetricId, raw: float) -> float:
 
 
 def diversity_score(metric: MetricId, team: EnsembleTeam, corr: CorrectnessMatrix,
-                    neg: NegativeSampleSet) -> float:
-    """Raw ``metric`` value of one team on ``neg``; ``normalize`` orients it."""
+                    neg: np.ndarray) -> float:
+    """Raw ``metric`` value of one team on the negative indices ``neg``;
+    ``normalize`` orients it."""
     if len(neg) == 0:
         raise EmptyNegativesError("cannot score diversity on an empty negative set")
-    return raw_score(metric, corr.omega[np.asarray(team.members)][:, neg.indices])
+    return raw_score(metric, corr.omega[np.asarray(team.members)][:, neg])

@@ -130,10 +130,12 @@ def _check_probs(probs: np.ndarray, pred_labels: np.ndarray, num_classes: int,
             f"probs file {path}: expected shape ({n}, {num_classes}), "
             f"got {probs.shape}"
         )
-    bad = np.where((probs < 0.0) | (probs > 1.0))
+    # written as a negation so NaN, which fails every comparison, is caught too
+    bad = np.where(~((probs >= 0.0) & (probs <= 1.0)))
     if bad[0].size:
         row = int(bad[0][0])
-        raise PoolError(f"probs file {path}, row {row}: entry outside [0, 1]")
+        raise PoolError(f"probs file {path}, row {row}: entry {probs[row, bad[1][0]]} "
+                        "outside [0, 1]")
     sums = probs.sum(axis=1)
     off = np.where(np.abs(sums - 1.0) > PROB_ROW_SUM_TOL)[0]
     if off.size:
@@ -187,13 +189,25 @@ def build_pool(dataset_name: str, num_classes: int, labels: np.ndarray,
     return PredictionPool(dataset_name, num_classes, labels, tuple(ordered))
 
 
-def _field(record: dict, key: str, kind: type, where: str):
-    """``record[key]``, which must be present and of type ``kind``."""
+NUMBER = (int, float)
+OPTIONAL_INT = (int, type(None))
+_JSON_TYPES = {bool: "a boolean", int: "an integer", NUMBER: "a number", str: "a string",
+               list: "an array", dict: "an object", OPTIONAL_INT: "an integer or null"}
+
+
+def json_typed(value, kind, what: str, error: type[Exception] = ValueError):
+    """``value``, which must be of the JSON type ``kind`` (a key of ``_JSON_TYPES``);
+    JSON true and false are booleans, never numbers."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise error(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _field(record: dict, key: str, kind, where: str):
+    """``record[key]``, which must be present and of the JSON type ``kind``."""
     if key not in record:
         raise PoolError(f"{where}: missing key {key!r}")
-    if not isinstance(record[key], kind):
-        raise PoolError(f"{where}: {key!r} must be {kind.__name__}, got {record[key]!r}")
-    return record[key]
+    return json_typed(record[key], kind, f"{where}: {key!r}", PoolError)
 
 
 def load_pool(manifest_path: str | Path) -> PredictionPool:
@@ -206,8 +220,7 @@ def load_pool(manifest_path: str | Path) -> PredictionPool:
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise PoolError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
     where = f"manifest {manifest_path}"
-    if not isinstance(manifest, dict):
-        raise PoolError(f"{where}: expected a JSON object")
+    json_typed(manifest, dict, where, PoolError)
     if "dataset" not in manifest:
         raise PoolError(f"{where}: missing key 'dataset'")
     base = manifest_path.parent

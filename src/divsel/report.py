@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import DivselError
 from .evaluation import SetReport
+from .pool import NUMBER, json_typed
 from .selection import SelectedSet
 from .teaming import parse_team
 
@@ -98,23 +99,26 @@ def selected_set_to_dict(selected: SelectedSet) -> dict:
 
 
 def selected_set_from_dict(data: dict) -> SelectedSet:
-    teams = tuple(parse_team(k) for k in data["teams"])
+    json_typed(data, dict, "a selected set")
+    teams = tuple(parse_team(json_typed(k, str, "a team"))
+                  for k in json_typed(data["teams"], list, "'teams'"))
     scores = data.get("scores")
     if scores is None:
         scores = [0.0] * len(teams)
     return SelectedSet(
-        method=str(data["method"]),
+        method=json_typed(data["method"], str, "'method'"),
         teams=teams,
-        scores=tuple(float(s) for s in scores),
-        pool_size=int(data["pool_size"]),
-        candidate_count=int(data["num_candidates"]),
+        scores=tuple(float(json_typed(s, NUMBER, "a score"))
+                     for s in json_typed(scores, list, "'scores'")),
+        pool_size=json_typed(data["pool_size"], int, "'pool_size'"),
+        candidate_count=json_typed(data["num_candidates"], int, "'num_candidates'"),
     )
 
 
 def load_selected_set(path: str | Path) -> SelectedSet:
     try:
         return selected_set_from_dict(json.loads(Path(path).read_text()))
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, ValueError) as exc:
         raise DivselError(f"malformed selected-set JSON {path}: {exc}") from exc
 
 

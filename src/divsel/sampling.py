@@ -9,8 +9,6 @@ the same (set, size, seed) always yields the same subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DivselError, EmptyNegativesError
@@ -28,30 +26,6 @@ _MASK64 = (1 << 64) - 1
 def derive_seed(base_seed: int, index: int) -> int:
     """Derive a 64-bit child seed for stream ``index`` from ``base_seed``."""
     return (base_seed ^ ((_SEED_MIX * (index + 1)) & _MASK64)) & _MASK64
-
-
-@dataclass(frozen=True)
-class NegativeSampleSet:
-    """A drawn subset of negative-sample indices plus its provenance."""
-
-    scheme: str
-    indices: np.ndarray
-    seed: int
-    focal: int | None = None
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "focal" and self.focal is None:
-            raise ValueError("focal scheme needs a focal model id")
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
-
-    @property
-    def descriptor(self) -> str:
-        tag = self.scheme if self.focal is None else f"focal:{self.focal}"
-        return f"{tag}[n={len(self)},seed={self.seed}]"
 
 
 def negatives_any(corr: CorrectnessMatrix) -> np.ndarray:
@@ -81,13 +55,13 @@ def negatives_focal(corr: CorrectnessMatrix, focal: int) -> np.ndarray:
     return np.flatnonzero(corr.omega[focal] == 0)
 
 
-def sample_subset(full: np.ndarray, size: int, seed: int,
-                  scheme: str = "any", focal: int | None = None) -> NegativeSampleSet:
+def sample_subset(full: np.ndarray, size: int, seed: int) -> np.ndarray:
     """Draw a uniform without-replacement subset of ``full`` of the given size.
 
-    If ``size`` covers the whole set, the full set is returned.  The draw
-    is a partial Fisher-Yates shuffle over the ascending index vector, so
-    output depends only on (full, size, seed).
+    The result is a sorted, read-only int64 index array.  If ``size``
+    covers the whole set, the full set is returned.  The draw is a partial
+    Fisher-Yates shuffle over the ascending index vector, so output
+    depends only on (full, size, seed).
     """
     full = np.sort(np.asarray(full, dtype=np.int64))
     if full.size == 0:
@@ -107,12 +81,18 @@ def sample_subset(full: np.ndarray, size: int, seed: int,
         chosen = np.sort(pool[:size])
     chosen = chosen.copy()
     chosen.setflags(write=False)
-    return NegativeSampleSet(scheme=scheme, indices=chosen, seed=seed, focal=focal)
+    return chosen
 
 
 def build_negative_set(corr: CorrectnessMatrix, scheme: str, size: int, seed: int,
-                       focal: int | None = None) -> NegativeSampleSet:
-    """Build the full negative set for a scheme and sample it in one step."""
+                       focal: int | None = None) -> np.ndarray:
+    """Build the full negative set for a scheme and sample it in one step.
+
+    ``focal`` names the focal model of the "focal" scheme and is refused
+    with any other scheme.
+    """
+    if focal is not None and scheme != "focal":
+        raise DivselError(f"focal model {focal} needs focal sampling, not {scheme!r}")
     if scheme == "any":
         full = negatives_any(corr)
     elif scheme == "all":
@@ -123,11 +103,11 @@ def build_negative_set(corr: CorrectnessMatrix, scheme: str, size: int, seed: in
         full = negatives_focal(corr, focal)
     else:
         raise DivselError(f"unknown sampling scheme {scheme!r}")
-    return sample_subset(full, size, seed, scheme=scheme, focal=focal)
+    return sample_subset(full, size, seed)
 
 
 def focal_negative_sets(corr: CorrectnessMatrix, size: int,
-                        base_seed: int) -> dict[int, NegativeSampleSet]:
+                        base_seed: int) -> dict[int, np.ndarray]:
     """One sampled negative set per focal model, on per-focal child seeds.
 
     Focal models that never err have no negatives; they are simply absent

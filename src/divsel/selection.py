@@ -15,34 +15,34 @@ Three selection families operate on a candidate set:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .diversity import MetricId, normalize, raw_score
 from .errors import DivselError, EmptyNegativesError, RuleCoverageError
-from .pool import CorrectnessMatrix
-from .sampling import NegativeSampleSet
+from .pool import NUMBER, OPTIONAL_INT, CorrectnessMatrix, json_typed
 from .teaming import CandidateSet, EnsembleTeam
 
 FQ_MODES = ("all", "any", "majority")
 DEFAULT_EQ_METRICS = (MetricId.BD, MetricId.KW, MetricId.GD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SelectionRule:
     """A learned diversity cutoff (keep team when score < cutoff).
 
     ``focal``/``size`` are None for a global (mean-threshold) rule.
     ``keep_all`` marks a degenerate cell (fewer than two distinct scores)
-    whose rule keeps everything regardless of the stored cutoff.
+    whose rule keeps everything regardless of the stored cutoff.  The
+    fields are in the key order of the rules JSON.
     """
 
     metric: MetricId
-    cutoff: float
     focal: int | None = None
     size: int | None = None
+    cutoff: float
     keep_all: bool = False
 
     def __post_init__(self):
@@ -92,7 +92,7 @@ def mean_threshold(scores) -> tuple[float, np.ndarray]:
 
 
 def q_select(metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
-             neg: NegativeSampleSet) -> tuple[SelectedSet, SelectionRule]:
+             neg: np.ndarray) -> tuple[SelectedSet, SelectionRule]:
     """Mean-threshold selection over one shared negative-sample set.
 
     Every candidate is scored (normalized orientation), the threshold is
@@ -103,7 +103,7 @@ def q_select(metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
         raise DivselError("empty candidate set")
     if len(neg) == 0:
         raise EmptyNegativesError("cannot select on an empty negative set")
-    omega_neg = corr.omega[:, neg.indices]
+    omega_neg = corr.omega[:, neg]
     scores = np.array([
         normalize(metric, raw_score(metric, omega_neg[np.asarray(t.members)]))
         for t in cands
@@ -168,9 +168,9 @@ class FocalScoreTable:
     """
 
     def __init__(self, metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
-                 neg_sets: dict[int, NegativeSampleSet]):
+                 neg_sets: dict[int, np.ndarray]):
         self.neg_sets = neg_sets
-        omega_by_focal = {focal: corr.omega[:, ns.indices] for focal, ns in neg_sets.items()}
+        omega_by_focal = {focal: corr.omega[:, neg] for focal, neg in neg_sets.items()}
         self.scores: list[tuple[float | None, ...]] = []
         for t in cands:
             members = np.asarray(t.members)
@@ -281,40 +281,26 @@ def eq_fuse(selected: list[SelectedSet]) -> SelectedSet:
 
 
 def rules_to_json(rules) -> str:
-    """Serialize rules as a JSON array of {metric, focal, size, cutoff} records."""
-    records = [
-        {
-            "metric": r.metric.value,
-            "focal": r.focal,
-            "size": r.size,
-            "cutoff": r.cutoff,
-            "keep_all": r.keep_all,
-        }
-        for r in rules
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    """Serialize rules as a JSON array of {metric, focal, size, cutoff, keep_all} records."""
+    return json.dumps([asdict(r) for r in rules], indent=2) + "\n"
 
 
-def _optional_int(value):
-    if value is not None and not isinstance(value, int):
-        raise ValueError(f"expected an integer or null, got {value!r}")
-    return value
+def _rule_from_dict(rec) -> SelectionRule:
+    json_typed(rec, dict, "a rule")
+    return SelectionRule(
+        metric=MetricId.parse(json_typed(rec["metric"], str, "'metric'")),
+        focal=json_typed(rec.get("focal"), OPTIONAL_INT, "'focal'"),
+        size=json_typed(rec.get("size"), OPTIONAL_INT, "'size'"),
+        cutoff=float(json_typed(rec["cutoff"], NUMBER, "'cutoff'")),
+        keep_all=json_typed(rec.get("keep_all", False), bool, "'keep_all'"),
+    )
 
 
 def rules_from_json(text: str | bytes) -> list[SelectionRule]:
     try:
         records = json.loads(text)
-        return [
-            SelectionRule(
-                metric=MetricId.parse(rec["metric"]),
-                cutoff=float(rec["cutoff"]),
-                focal=_optional_int(rec.get("focal")),
-                size=_optional_int(rec.get("size")),
-                keep_all=bool(rec.get("keep_all", False)),
-            )
-            for rec in records
-        ]
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        return [_rule_from_dict(rec) for rec in json_typed(records, list, "the rules")]
+    except (KeyError, OverflowError, ValueError) as exc:
         raise DivselError(f"malformed rules JSON: {exc}") from exc
 
 

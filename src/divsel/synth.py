@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SynthConfigError
-from .pool import ModelRecord, PredictionPool, build_pool
+from .pool import NUMBER, ModelRecord, PredictionPool, build_pool, json_typed
 from .sampling import derive_seed
 
 
@@ -44,18 +44,24 @@ class SynthConfig:
 
 
 def config_from_dict(data: dict) -> SynthConfig:
+    """The config of a parsed JSON object; counts, seed and group members must be
+    JSON integers, accuracies and overlaps JSON numbers."""
+    json_typed(data, dict, "a config")
     groups = tuple(
-        CorrelationGroup(members=tuple(int(m) for m in g["members"]),
-                         overlap=float(g["overlap"]))
-        for g in data.get("groups", [])
+        CorrelationGroup(
+            members=tuple(json_typed(m, int, "group member")
+                          for m in json_typed(g["members"], list, "'members'")),
+            overlap=float(json_typed(g["overlap"], NUMBER, "'overlap'")))
+        for g in json_typed(data.get("groups", []), list, "'groups'")
     )
     return SynthConfig(
-        num_models=int(data["num_models"]),
-        num_samples=int(data["num_samples"]),
-        num_classes=int(data["num_classes"]),
-        accuracies=tuple(float(a) for a in data["accuracies"]),
+        num_models=json_typed(data["num_models"], int, "'num_models'"),
+        num_samples=json_typed(data["num_samples"], int, "'num_samples'"),
+        num_classes=json_typed(data["num_classes"], int, "'num_classes'"),
+        accuracies=tuple(float(json_typed(a, NUMBER, "accuracy"))
+                         for a in json_typed(data["accuracies"], list, "'accuracies'")),
         groups=groups,
-        seed=int(data.get("seed", 0)),
+        seed=json_typed(data.get("seed", 0), int, "'seed'"),
         dataset_name=str(data.get("dataset", "synthetic")),
     )
 
@@ -67,7 +73,7 @@ def load_config(path: str | Path) -> SynthConfig:
         raise SynthConfigError(f"cannot read synth config {path}: {exc}") from exc
     try:
         return config_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SynthConfigError(f"bad synth config {path}: {exc}") from exc
 
 

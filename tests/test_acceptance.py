@@ -101,7 +101,7 @@ def test_criterion_4_mean_threshold_contract():
     selected, rule = q_select(MetricId.GD, cands, corr, neg)
 
     # second pass: rescore every team, python-sum mean, strict filter
-    omega_neg = corr.omega[:, neg.indices]
+    omega_neg = corr.omega[:, neg]
     rescored = {}
     for t in cands:
         raw = o_raw("gd", omega_neg[np.asarray(t.members)].tolist())

@@ -86,7 +86,7 @@ def test_malformed_selected_set_exits_1(pool_dir, tmp_path, capsys):
 def test_diversity_single_team(pool_dir, capsys):
     corr = correctness(load_pool(pool_dir / "manifest.json"))
     neg = build_negative_set(corr, "any", DEFAULT_SAMPLE_SIZE, 4)
-    rows = corr.omega[[0, 2, 3]][:, neg.indices].tolist()
+    rows = corr.omega[[0, 2, 3]][:, neg].tolist()
     for metric in ("ck", "qs", "bd", "fk", "kw", "gd"):
         assert main(["diversity", "--pool", str(pool_dir / "manifest.json"),
                      "--metric", metric, "--team", "023", "--seed", "4"]) == 0
@@ -216,6 +216,7 @@ def _bad_manifest(pool_dir, name, mutate):
     ("no-id", lambda d: d["models"][1].pop("id")),
     ("no-pred-labels", lambda d: d["models"][0].pop("pred_labels")),
     ("num-classes", lambda d: d.update(num_classes="six")),
+    ("bool-id", lambda d: d["models"][1].update(id=True)),
     ("models-not-list", lambda d: d.update(models={"id": 0})),
 ])
 def test_malformed_manifest_exits_1(pool_dir, capsys, name, mutate):
@@ -424,3 +425,99 @@ def test_json_records_keep_documented_key_order(pool_dir, tmp_path, capsys):
     assert list(data["summary"]) == SET_REPORT_KEYS
     for row in data["teams"]:
         assert list(row) == TEAM_ROW_KEYS
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), captured.err
+    assert captured.out == ""
+    return err[0]
+
+
+def test_focal_needs_focal_sampling(pool_dir, capsys):
+    # a focal model the scheme does not use would label or select on
+    # negatives it does not describe
+    manifest = str(pool_dir / "manifest.json")
+    for argv in (["diversity", "--pool", manifest],
+                 ["diversity", "--pool", manifest, "--sampling", "all"],
+                 ["select", "--pool", manifest, "--method", "q"],
+                 ["recommend", "--pool", manifest, "--method", "q"]):
+        assert main(argv + ["--focal", "3"]) == 1, argv
+        assert "focal" in _one_error_line(capsys)
+
+
+def test_diversity_context_names_focal_and_seed(pool_dir, capsys):
+    manifest = pool_dir / "manifest.json"
+    neg = build_negative_set(correctness(load_pool(manifest)), "focal",
+                             DEFAULT_SAMPLE_SIZE, 9, focal=2)
+    assert main(["diversity", "--pool", str(manifest), "--sampling", "focal",
+                 "--focal", "2", "--seed", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["context"] == f"focal:2[n={len(neg)},seed=9]"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_probability_exits_1(pool_dir, capsys, value):
+    # NaN fails both "< 0" and "> 1", and at the predicted class it also
+    # passes the row-sum and argmax checks
+    rows = (pool_dir / "model_0_probs.csv").read_text().splitlines()
+    pred = int((pool_dir / "model_0_pred.txt").read_text().split()[3])
+    cells = rows[3].split(",")
+    cells[pred] = value
+    rows[3] = ",".join(cells)
+    (pool_dir / f"probs-{value}.csv").write_text("\n".join(rows) + "\n")
+    manifest = _bad_manifest(pool_dir, f"probs-{value}",
+                             lambda d: d["models"][0].update(probs=f"probs-{value}.csv"))
+    assert main(["consensus", "--pool", str(manifest), "--team", "01",
+                 "--method", "soft"]) == 1
+    err = _one_error_line(capsys)
+    assert f"probs-{value}.csv, row 3" in err
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("array", lambda c: [c]),
+    ("float-num-models", lambda c: {**c, "num_models": 5.7}),
+    ("text-num-models", lambda c: {**c, "num_models": "5"}),
+    ("float-num-samples", lambda c: {**c, "num_samples": 800.0}),
+    ("bool-num-classes", lambda c: {**c, "num_classes": True}),
+    ("text-seed", lambda c: {**c, "seed": "13"}),
+    ("float-member", lambda c: {**c, "groups": [{"members": [1.9, 3], "overlap": 0.9}]}),
+    ("text-accuracy", lambda c: {**c, "accuracies": ["0.95", 0.92, 0.9, 0.9, 0.87]}),
+])
+def test_synth_config_field_types(tmp_path, capsys, name, mutate):
+    # int() would truncate 5.7 to 5 and read "5" and true as integers
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(mutate(SYNTH_CONFIG)))
+    assert main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "p")]) == 1
+    assert "synth config" in _one_error_line(capsys)
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("key, value", [("keep_all", "false"), ("keep_all", 0),
+                                        ("cutoff", "0.5"), ("cutoff", True),
+                                        ("focal", True), ("size", 3.0)])
+def test_rules_field_types(pool_dir, tmp_path, capsys, key, value):
+    # bool("false") is True, so a string keep_all would keep every team
+    manifest = str(pool_dir / "manifest.json")
+    rules = tmp_path / "rules.json"
+    assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+                 "--rules-out", str(rules), "--out", str(tmp_path / "sel.json")]) == 0
+    recs = [{**rec, key: value} for rec in json.loads(rules.read_text())]
+    rules.write_text(json.dumps(recs))
+    assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+                 "--rules-in", str(rules)]) == 1
+    assert repr(key) in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key, value", [("pool_size", 5.9), ("pool_size", True),
+                                        ("num_candidates", "26"), ("method", 7),
+                                        ("scores", ["0.5"])])
+def test_selected_set_field_types(pool_dir, tmp_path, capsys, key, value):
+    # int() would truncate a pool_size of 5.9 to 5
+    selected = tmp_path / "sel.json"
+    doc = {"method": "x", "pool_size": 5, "num_candidates": 26, "teams": ["01"],
+           "scores": [0.5]}
+    selected.write_text(json.dumps({**doc, key: value}))
+    assert main(["report", "--pool", str(pool_dir / "manifest.json"),
+                 "--in", str(selected)]) == 1
+    assert "malformed selected-set JSON" in _one_error_line(capsys)

@@ -2,9 +2,9 @@
 
 The selected-set report of ``report`` and ``recommend`` must equal a
 summary over an independent evaluation of the selected teams, for every
-consensus method and thread count.  Corrupted manifest, rules and
-selected-set JSON must end in exit 1 and an ``error:`` line, never a
-traceback.
+consensus method and thread count.  Corrupted manifest, rules,
+selected-set and synth-config JSON, and corrupted label and probability
+files, must end in exit 1 and an ``error:`` line, never a traceback.
 """
 
 import contextlib
@@ -157,7 +157,10 @@ json_values = st.recursive(
     max_leaves=6,
 )
 path_texts = st.text("abc._", max_size=8)
-non_ints = json_values.filter(lambda v: not isinstance(v, int))
+# JSON true and false are not integers
+non_ints = json_values.filter(lambda v: isinstance(v, bool) or not isinstance(v, int))
+non_numbers = json_values.filter(lambda v: isinstance(v, bool)
+                                 or not isinstance(v, (int, float)))
 non_strs = json_values.filter(lambda v: not isinstance(v, str))
 
 
@@ -230,7 +233,7 @@ def bad_rules(draw, base):
     pos = draw(st.integers(0, len(doc) - 1))
     rec = doc[pos]
     kind = draw(st.sampled_from(["whole", "drop_record", "drop_key", "metric", "focal",
-                                 "size", "cutoff"]))
+                                 "size", "cutoff", "keep_all"]))
     if kind == "whole":
         return draw(json_values)
     if kind == "drop_record":
@@ -247,9 +250,11 @@ def bad_rules(draw, base):
         new = draw(json_values)
         assume(new != rec["size"])
         rec["size"] = new
-    else:
-        rec["cutoff"] = draw(st.sampled_from([None, [], {}, "x", float("inf"),
+    elif kind == "cutoff":
+        rec["cutoff"] = draw(st.sampled_from([None, [], {}, "x", "0.5", True, float("inf"),
                                               float("-inf"), float("nan")]))
+    else:
+        rec["keep_all"] = draw(json_values.filter(lambda v: not isinstance(v, bool)))
     return doc
 
 
@@ -296,3 +301,85 @@ def test_fuzzed_selected_set_fails_typed(fuzz_ctx, data):
     path.write_text(json.dumps(data.draw(bad_selected_sets(fuzz_ctx["selected"]))))
     _assert_typed_failure(["report", "--pool", str(fuzz_ctx["pool_dir"] / "manifest.json"),
                            "--in", str(path)])
+
+
+@st.composite
+def bad_synth_configs(draw, base):
+    doc = json.loads(json.dumps(base))
+    doc["groups"] = [{"members": [0, 1], "overlap": 0.5}]
+    kind = draw(st.sampled_from(["whole", "drop", "count", "seed", "accuracies",
+                                 "accuracy", "groups", "group", "members", "member",
+                                 "overlap"]))
+    if kind == "whole":
+        return draw(json_values.filter(lambda v: not isinstance(v, dict)))
+    group = doc["groups"][0]
+    if kind == "drop":
+        del doc[draw(st.sampled_from(["num_models", "num_samples", "num_classes",
+                                      "accuracies"]))]
+    elif kind == "count":
+        doc[draw(st.sampled_from(["num_models", "num_samples", "num_classes"]))] = \
+            draw(non_ints)
+    elif kind == "seed":
+        doc["seed"] = draw(non_ints)
+    elif kind == "accuracies":
+        doc["accuracies"] = draw(json_values.filter(lambda v: not isinstance(v, list)))
+    elif kind == "accuracy":
+        doc["accuracies"][draw(st.integers(0, 2))] = draw(non_numbers)
+    elif kind == "groups":
+        doc["groups"] = draw(json_values.filter(lambda v: not isinstance(v, list)
+                                                or any(not isinstance(g, dict) for g in v)))
+    elif kind == "group":
+        del group[draw(st.sampled_from(["members", "overlap"]))]
+    elif kind == "members":
+        group["members"] = draw(json_values.filter(lambda v: not isinstance(v, list)))
+    elif kind == "member":
+        group["members"][draw(st.integers(0, 1))] = draw(non_ints)
+    else:
+        group["overlap"] = draw(non_numbers)
+    return doc
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_synth_config_fails_typed(fuzz_ctx, data):
+    path = fuzz_ctx["pool_dir"] / "fuzzed-synth.json"
+    path.write_text(json.dumps(data.draw(bad_synth_configs(POOL3))))
+    _assert_typed_failure(["synth", "--config", str(path),
+                           "--out-dir", str(fuzz_ctx["pool_dir"] / "fuzzed-synth")])
+
+
+@st.composite
+def bad_data_files(draw, manifest, pool_dir):
+    """A manifest whose labels, predictions or probabilities of one model have one
+    row replaced by a non-finite value, a blank line or a ragged row."""
+    doc = json.loads(json.dumps(manifest))
+    model = doc["models"][draw(st.integers(0, len(doc["models"]) - 1))]
+    owner, key = draw(st.sampled_from([(doc, "labels"), (model, "pred_labels"),
+                                       (model, "probs")]))
+    rows = (pool_dir / owner[key]).read_text().splitlines()
+    row = draw(st.integers(0, len(rows) - 1))
+    cells = rows[row].split(",")
+    kind = draw(st.sampled_from(["value", "blank", "ragged"]))
+    if kind == "value":
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity"]))
+        rows[row] = ",".join(cells)
+    elif kind == "blank":
+        rows[row] = draw(st.sampled_from(["", " ", "\t"]))
+    elif key == "probs":
+        rows[row] = ",".join(cells[:-1] if draw(st.booleans()) else cells + cells[:1])
+    else:
+        rows[row] = f"{rows[row]} {rows[row]}"
+    owner[key] = f"fuzzed-{key}.txt"
+    (pool_dir / owner[key]).write_text("\n".join(rows) + "\n")
+    return doc
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_data_files_fail_typed(fuzz_ctx, data):
+    doc = data.draw(bad_data_files(fuzz_ctx["manifest"], fuzz_ctx["pool_dir"]))
+    path = fuzz_ctx["pool_dir"] / "fuzzed-files.json"
+    path.write_text(json.dumps(doc))
+    _assert_typed_failure(["consensus", "--pool", str(path), "--team", "012",
+                           "--method", "soft"])

@@ -47,14 +47,14 @@ def test_negatives_focal():
 def test_sample_subset_clamps_to_full_set():
     full = np.arange(10)
     ns = sample_subset(full, 20, seed=123)
-    np.testing.assert_array_equal(ns.indices, full)
+    np.testing.assert_array_equal(ns, full)
 
 
 def test_sample_subset_deterministic():
     full = np.arange(10)
     a = sample_subset(full, 4, seed=42)
     b = sample_subset(full, 4, seed=42)
-    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a, b)
     assert len(a) == 4
 
 
@@ -66,7 +66,7 @@ def test_sample_subset_seed_sweep_differs():
     for k in range(100):
         a = sample_subset(full, 10, seed=2 * k)
         b = sample_subset(full, 10, seed=2 * k + 1)
-        differing += not np.array_equal(a.indices, b.indices)
+        differing += not np.array_equal(a, b)
     assert differing >= 95
 
 
@@ -78,9 +78,9 @@ def test_sample_subset_contract():
             continue
         size = int(rng.integers(1, 20))
         ns = sample_subset(full, size, seed=int(rng.integers(1 << 32)))
-        assert set(ns.indices) <= set(full)
+        assert set(ns) <= set(full)
         assert len(ns) == min(size, full.size)
-        assert np.all(np.diff(ns.indices) > 0)  # sorted, unique
+        assert np.all(np.diff(ns) > 0)  # sorted, unique
 
 
 def test_sample_subset_empty_raises():
@@ -110,12 +110,4 @@ def test_focal_negative_sets_skips_perfect_models():
     corr = corr_from([[1, 1, 1], [0, 1, 0]])
     sets = focal_negative_sets(corr, size=10, base_seed=7)
     assert 0 not in sets
-    np.testing.assert_array_equal(sets[1].indices, [0, 2])
-    assert sets[1].scheme == "focal"
-    assert sets[1].focal == 1
-
-
-def test_descriptor_mentions_scheme_and_seed():
-    ns = sample_subset(np.arange(5), 3, seed=9, scheme="focal", focal=2)
-    assert "focal:2" in ns.descriptor
-    assert "seed=9" in ns.descriptor
+    np.testing.assert_array_equal(sets[1], [0, 2])

@@ -64,7 +64,7 @@ def test_q_select_oracle_on_1013_team_pool():
     selected, rule = q_select(MetricId.GD, cands, corr, neg)
 
     # independent second pass: oracle scores, python mean, strict filter
-    omega_neg = corr.omega[:, neg.indices]
+    omega_neg = corr.omega[:, neg]
     oracle_scores = [
         o_normalized("gd", omega_neg[np.asarray(t.members)].tolist()) for t in cands
     ]
@@ -191,7 +191,7 @@ def test_focal_score_table_matches_raw_score_per_cell():
         for t, focal_scores in zip(cands, table.scores):
             expected = tuple(
                 None if f == 2 else normalize(metric, raw_score(
-                    metric, corr.omega[np.asarray(t.members)][:, neg_sets[f].indices]))
+                    metric, corr.omega[np.asarray(t.members)][:, neg_sets[f]]))
                 for f in t.members)
             assert focal_scores == expected, (metric, t.key)
 
