@@ -5,10 +5,13 @@ Three selection families operate on a candidate set:
 * ``q_select`` scores every candidate on one shared negative-sample set
   and keeps teams strictly below the mean score.
 * ``FocalScoreTable`` scores each team per member focal model on that
-  focal's own negatives; ``learn_fq_rules`` learns one cutoff per
-  (focal, team size) cell with a two-cluster 1-D split, and ``fq_select``
-  keeps teams whose per-focal scores clear the cutoffs (all / any /
-  majority of the member focals, "all" by default).
+  focal's own negatives, into a K×M matrix (K candidates, M models) that
+  is NaN where the focal is not a member or never errs.  A rule cell is
+  a (focal, team size) pair with at least one candidate; ``rule_cells``
+  lists them in (focal, size) order.  ``learn_fq_rules`` learns one
+  cutoff per cell with a two-cluster 1-D split, and ``fq_select`` keeps
+  teams whose per-focal scores clear the cutoffs (all / any / majority
+  of the member focals, "all" by default).
 * ``eq_fuse`` intersects several selected sets into an elite set.
 """
 
@@ -48,9 +51,6 @@ class SelectionRule:
     def __post_init__(self):
         if not np.isfinite(self.cutoff):
             raise ValueError(f"rule cutoff must be finite, got {self.cutoff}")
-
-    def keeps(self, score: float) -> bool:
-        return True if self.keep_all else score < self.cutoff
 
 
 @dataclass(frozen=True)
@@ -160,30 +160,35 @@ def two_means_split(values) -> TwoMeansSplit:
 class FocalScoreTable:
     """Normalized scores of every candidate on each member focal's negatives.
 
-    ``scores[k]`` holds one score per member of candidate k, in member
-    order: the team's diversity on that focal model's negative samples,
-    or None when the focal never errs (it is absent from ``neg_sets`` and
-    its rule cells are degenerate).  Each (focal, team) cell is scored
-    exactly once, here.
+    ``scores[k, f]`` (K×M float64) is candidate k's diversity on focal model
+    f's negative samples; it is NaN where f is not in team k or never errs
+    (f is absent from ``neg_sets``).  Each (focal, team) cell is scored once.
     """
 
     def __init__(self, metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
                  neg_sets: dict[int, np.ndarray]):
         self.neg_sets = neg_sets
         omega_by_focal = {focal: corr.omega[:, neg] for focal, neg in neg_sets.items()}
-        self.scores: list[tuple[float | None, ...]] = []
-        for t in cands:
+        self.scores = np.full(cands.members.shape, np.nan)
+        for k, t in enumerate(cands):
             members = np.asarray(t.members)
-            self.scores.append(tuple(
-                normalize(metric, raw_score(metric, omega_by_focal[focal][members]))
-                if focal in omega_by_focal else None
-                for focal in t.members
-            ))
+            for focal in omega_by_focal.keys() & t.members:
+                self.scores[k, focal] = normalize(
+                    metric, raw_score(metric, omega_by_focal[focal][members]))
+
+
+def rule_cells(cands: CandidateSet):
+    """Yield (focal, size, mask) for each rule cell, in (focal, size) order;
+    ``mask`` marks the candidates of that size that contain the focal model."""
+    sizes = cands.members.sum(axis=1)
+    for focal, has_focal in enumerate(cands.members.T):
+        for size in np.unique(sizes[has_focal]).tolist():
+            yield focal, size, has_focal & (sizes == size)
 
 
 def learn_fq_rules(metric: MetricId, cands: CandidateSet,
                    table: FocalScoreTable) -> list[SelectionRule]:
-    """Learn one keep/prune cutoff per (focal model, team size) cell.
+    """Learn one keep/prune cutoff per rule cell.
 
     Within a cell, the scores of all size-S candidates containing the
     focal model are split into a low (keep) and high (prune) cluster;
@@ -191,23 +196,16 @@ def learn_fq_rules(metric: MetricId, cands: CandidateSet,
     two distinct scores (including focals that never err) become
     degenerate keep-all rules.
     """
-    by_cell: dict[tuple[int, int], list[float]] = {}
-    for t, focal_scores in zip(cands, table.scores):
-        for focal, score in zip(t.members, focal_scores):
-            cell = by_cell.setdefault((focal, t.size), [])
-            if score is not None:
-                cell.append(score)
     rules = []
-    for (focal, size), cell_scores in sorted(by_cell.items()):
-        distinct = set(cell_scores)
-        if len(distinct) < 2:
-            anchor = cell_scores[0] if cell_scores else 0.0
-            rules.append(SelectionRule(metric=metric, cutoff=float(anchor),
-                                       focal=focal, size=size, keep_all=True))
-            continue
-        split = two_means_split(cell_scores)
-        rules.append(SelectionRule(metric=metric, cutoff=split.cutoff,
-                                   focal=focal, size=size))
+    for focal, size, cell in rule_cells(cands):
+        cell_scores = table.scores[cell, focal]
+        cell_scores = cell_scores[~np.isnan(cell_scores)]
+        if np.unique(cell_scores).size > 1:
+            cutoff, keep_all = two_means_split(cell_scores).cutoff, False
+        else:  # the one score, or 0 when there is none, anchors a keep-all rule
+            cutoff, keep_all = (float(cell_scores[0]) if cell_scores.size else 0.0), True
+        rules.append(SelectionRule(metric=metric, cutoff=cutoff, focal=focal, size=size,
+                                   keep_all=keep_all))
     return rules
 
 
@@ -217,36 +215,29 @@ def fq_select(metric: MetricId, cands: CandidateSet, rules,
 
     A team is kept when its per-focal scores pass the cutoff for all of
     its member focals ("all", default), at least one ("any"), or strictly
-    more than half ("majority").  A focal with a degenerate rule always
-    votes keep.  The recorded team score is the mean over member focals.
+    more than half ("majority").  A focal with a degenerate rule or no
+    score always votes keep.  The recorded team score is the mean over
+    the member focals that have a score (0 when none has).
     """
     if mode not in FQ_MODES:
         raise ValueError(f"unknown fq mode {mode!r} (expected one of {FQ_MODES})")
-    rule_by_cell = {(r.focal, r.size): r for r in rules if r.focal is not None}
-    kept_teams: list[EnsembleTeam] = []
-    kept_scores: list[float] = []
-    for t, focal_scores in zip(cands, table.scores):
-        votes = 0
-        for focal, score in zip(t.members, focal_scores):
-            rule = rule_by_cell.get((focal, t.size))
-            if rule is None:
-                raise RuleCoverageError(
-                    f"no rule for focal {focal}, team size {t.size}"
-                )
-            votes += score is None or rule.keeps(score)
-        if mode == "all":
-            keep = votes == t.size
-        elif mode == "any":
-            keep = votes >= 1
-        else:
-            keep = votes * 2 > t.size
-        if keep:
-            scored = [s for s in focal_scores if s is not None]
-            kept_teams.append(t)
-            kept_scores.append(float(np.mean(scored)) if scored else 0.0)
+    rule_of = {(r.focal, r.size): r for r in rules if r.focal is not None}
+    keep = np.zeros(cands.members.shape, dtype=bool)
+    for focal, size, cell in rule_cells(cands):
+        rule = rule_of.get((focal, size))
+        if rule is None:
+            raise RuleCoverageError(f"no rule for focal {focal}, team size {size}")
+        cell_scores = table.scores[cell, focal]
+        keep[cell, focal] = rule.keep_all | np.isnan(cell_scores) | (cell_scores < rule.cutoff)
+    votes, sizes = keep.sum(axis=1), cands.members.sum(axis=1)
+    kept = {"all": votes == sizes, "any": votes >= 1, "majority": votes * 2 > sizes}[mode]
+    kept_scores = []
+    for row in table.scores[kept]:  # member scores in member order, NaN elsewhere
+        scored = row[~np.isnan(row)]
+        kept_scores.append(float(scored.mean()) if scored.size else 0.0)
     return SelectedSet(
         method=f"fq-{metric.value}-{mode}",
-        teams=tuple(kept_teams),
+        teams=tuple(t for t, k in zip(cands.teams, kept) if k),
         scores=tuple(kept_scores),
         pool_size=cands.pool_size,
         candidate_count=len(cands),

@@ -7,8 +7,10 @@ so a candidate list is reproducible and safely shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+
+import numpy as np
 
 from .errors import TeamLimitError
 
@@ -70,10 +72,12 @@ def parse_team(text: str) -> EnsembleTeam:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """All enumerated candidate teams for a pool of ``pool_size`` models."""
+    """All enumerated candidate teams for a pool of ``pool_size`` models;
+    ``members[k, f]`` (read-only, K×M) is True when model f is in team k."""
 
     teams: tuple[EnsembleTeam, ...]
     pool_size: int
+    members: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.teams)
@@ -105,4 +109,8 @@ def enumerate_teams(pool_size: int, size_filter: int | None = None) -> Candidate
         for size in range(lo, hi + 1)
         for members in combinations(range(pool_size), size)
     )
-    return CandidateSet(teams=teams, pool_size=pool_size)
+    members = np.zeros((len(teams), pool_size), dtype=bool)
+    members[np.repeat(np.arange(len(teams)), [t.size for t in teams]),
+            [f for t in teams for f in t.members]] = True
+    members.flags.writeable = False
+    return CandidateSet(teams=teams, pool_size=pool_size, members=members)

@@ -1,5 +1,5 @@
-"""Independent direct-from-formula oracles for the diversity metrics and
-the sequential boosting-weight walk.
+"""Independent direct-from-formula oracles for the diversity metrics, the
+sequential boosting-weight walk, and focal-rule selection.
 
 Deliberately written with plain Python loops and no shared code with the
 library, so the two sides of every metric check fail independently.
@@ -129,3 +129,85 @@ def o_boosting_weights(pred_rows, labels, train_indices, gamma):
             for i in range(s):
                 weights[i] /= total
     return weights
+
+
+def o_two_means(values):
+    """1-D 2-means: centroids start at min and max, ties go to the low
+    cluster, and the split is refined until the assignment repeats.
+
+    Returns the cutoff (midpoint of the cluster gap) and the midpoints of
+    the refinement steps, which sum floats and so are the only place an
+    implementation may round a near-tie differently.
+    """
+    mid = (min(values) + max(values)) / 2.0
+    low = [x <= mid for x in values]
+    mids = []
+    while True:
+        lows = [x for x, is_low in zip(values, low) if is_low]
+        highs = [x for x, is_low in zip(values, low) if not is_low]
+        mid = (sum(lows) / len(lows) + sum(highs) / len(highs)) / 2.0
+        mids.append(mid)
+        new_low = [x <= mid for x in values]
+        if new_low == low:
+            return (max(lows) + min(highs)) / 2.0, mids
+        low = new_low
+
+
+def o_fq_rules(teams, scores):
+    """One rule per (focal, size) pair seen among the teams, in that order.
+
+    ``teams`` holds member tuples; ``scores[k]`` holds one score per member
+    of ``teams[k]``, None when that focal has no score.  Returns the rules
+    as (focal, size, cutoff, keep_all) tuples and the smallest distance of
+    any value to a refinement midpoint (inf when no cell was split).
+    """
+    cells = {}
+    for members, team_scores in zip(teams, scores):
+        for focal, score in zip(members, team_scores):
+            cell = cells.setdefault((focal, len(members)), [])
+            if score is not None:
+                cell.append(score)
+    rules = []
+    margin = math.inf
+    for focal, size in sorted(cells):
+        values = cells[(focal, size)]
+        if len(set(values)) < 2:
+            rules.append((focal, size, values[0] if values else 0.0, True))
+            continue
+        cutoff, mids = o_two_means(values)
+        rules.append((focal, size, cutoff, False))
+        margin = min([margin] + [abs(x - m) for x in values for m in mids])
+    return rules, margin
+
+
+def o_fq_select(teams, scores, rules, mode):
+    """Kept (members, score) pairs: a member focal votes keep when its rule
+    keeps all, it has no score, or its score is below the cutoff; "all",
+    "any" or "majority" (more than half) of the votes keep the team, whose
+    score is the mean of its member scores (0 when it has none)."""
+    rule_of = {(focal, size): (cutoff, keep_all) for focal, size, cutoff, keep_all in rules}
+    kept = []
+    for members, team_scores in zip(teams, scores):
+        votes = 0
+        for focal, score in zip(members, team_scores):
+            cutoff, keep_all = rule_of[(focal, len(members))]
+            if keep_all or score is None or score < cutoff:
+                votes += 1
+        if mode == "all":
+            keep = votes == len(members)
+        elif mode == "any":
+            keep = votes >= 1
+        else:
+            keep = 2 * votes > len(members)
+        if keep:
+            scored = [x for x in team_scores if x is not None]
+            kept.append((members, sum(scored) / len(scored) if scored else 0.0))
+    return kept
+
+
+def o_eq_fuse(selections):
+    """Teams kept by every selection, in the first one's order, with the mean
+    of their scores across the selections."""
+    maps = [dict(selection) for selection in selections]
+    return [(members, sum(m[members] for m in maps) / len(maps))
+            for members, _ in selections[0] if all(members in m for m in maps)]

@@ -493,6 +493,36 @@ def test_synth_config_field_types(tmp_path, capsys, name, mutate):
     assert not (tmp_path / "p").exists()
 
 
+def test_synth_out_of_memory_exits_1(tmp_path, capsys):
+    # numpy cannot allocate 10**15 labels; that is an error line, not a traceback
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**SYNTH_CONFIG, "num_samples": 10**15}))
+    assert main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "p")]) == 1
+    assert "allocate" in _one_error_line(capsys)
+    assert not (tmp_path / "p").exists()
+
+
+def test_stored_rules_must_cover_every_rule_cell(pool_dir, tmp_path, capsys):
+    manifest = str(pool_dir / "manifest.json")
+    rules = tmp_path / "rules.json"
+    assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+                 "--team-size", "2", "--rules-out", str(rules),
+                 "--out", str(tmp_path / "sel.json")]) == 0
+    base = ["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+            "--out", str(tmp_path / "o.json")]
+    # rules of size 2 only: the first uncovered (focal, size) cell is (0, 3)
+    assert main(base + ["--rules-in", str(rules)]) == 1
+    assert _one_error_line(capsys) == "error: no rule for focal 0, team size 3"
+    # with (1, 2) and (0, 4) missing, the error names (0, 4), not team 01's (1, 2)
+    assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+                 "--rules-out", str(rules), "--out", str(tmp_path / "sel.json")]) == 0
+    recs = [r for r in json.loads(rules.read_text())
+            if (r["focal"], r["size"]) not in ((1, 2), (0, 4))]
+    rules.write_text(json.dumps(recs))
+    assert main(base + ["--rules-in", str(rules)]) == 1
+    assert _one_error_line(capsys) == "error: no rule for focal 0, team size 4"
+
+
 @pytest.mark.parametrize("key, value", [("keep_all", "false"), ("keep_all", 0),
                                         ("cutoff", "0.5"), ("cutoff", True),
                                         ("focal", True), ("size", 3.0)])

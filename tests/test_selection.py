@@ -2,18 +2,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsel.diversity import MetricId, normalize, raw_score
 from divsel.errors import DivselError, RuleCoverageError
 from divsel.pool import CorrectnessMatrix, correctness
 from divsel.sampling import focal_negative_sets, sample_subset
-from divsel.selection import (FocalScoreTable, SelectedSet, SelectionRule, eq_fuse,
-                              fq_select, learn_fq_rules, mean_threshold, q_select,
-                              rules_from_json, rules_to_json, two_means_split)
+from divsel.selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, SelectedSet,
+                              SelectionRule, eq_fuse, fq_select, learn_fq_rules,
+                              mean_threshold, q_select, rules_from_json, rules_to_json,
+                              two_means_split)
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
 from divsel.teaming import enumerate_teams, team
 
-from oracles import o_normalized
+from oracles import o_eq_fuse, o_fq_rules, o_fq_select, o_normalized
 
 
 def corr_from(rows):
@@ -23,11 +26,13 @@ def corr_from(rows):
 
 class StubScores:
     """Score table driven by an explicit (focal, members) -> score map;
-    a focal the map lacks has no score, like a model that never errs."""
+    a focal the map lacks has no score (NaN), like a model that never errs."""
 
     def __init__(self, cands, mapping):
-        self.scores = [tuple(mapping.get((f, t.members)) for f in t.members)
-                       for t in cands]
+        self.scores = np.full(cands.members.shape, np.nan)
+        for k, t in enumerate(cands):
+            for f in t.members:
+                self.scores[k, f] = mapping.get((f, t.members), np.nan)
 
 
 # ---------------------------------------------------------- mean threshold
@@ -188,12 +193,14 @@ def test_focal_score_table_matches_raw_score_per_cell():
         table = FocalScoreTable(metric, cands, corr, neg_sets)
         assert table.neg_sets is neg_sets
         assert len(table.scores) == len(cands)
-        for t, focal_scores in zip(cands, table.scores):
-            expected = tuple(
-                None if f == 2 else normalize(metric, raw_score(
+        for k, t in enumerate(cands):
+            for f in range(5):
+                if f == 2 or f not in t.members:
+                    assert np.isnan(table.scores[k, f]), (metric, t.key, f)
+                    continue
+                expected = normalize(metric, raw_score(
                     metric, corr.omega[np.asarray(t.members)][:, neg_sets[f]]))
-                for f in t.members)
-            assert focal_scores == expected, (metric, t.key)
+                assert table.scores[k, f] == expected, (metric, t.key, f)
 
 
 def test_fq_select_mode_nesting_on_synthetic_pool():
@@ -231,6 +238,92 @@ def test_fq_prunes_planted_duplicates_across_seeds():
         kept = fq_select(MetricId.GD, cands, rules, table).team_keys()
         ok_seeds += all(t.key not in kept for t in dup_teams)
     assert ok_seeds >= 95
+
+
+# ------------------------------------------------ fq and eq against oracles
+
+@st.composite
+def focal_pools(draw):
+    """Correctness rows of 3-7 models on 1-30 samples, optionally with a model
+    that never errs, two identical models and a model with one error, plus a
+    team-size filter, a negative sample size and a seed."""
+    m = draw(st.integers(3, 7))
+    n = draw(st.integers(1, 30))
+    rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(m)]
+    model = st.integers(0, m - 1)
+    if draw(st.booleans()):
+        rows[draw(model)] = [1] * n
+    if draw(st.booleans()):
+        rows[draw(model)] = list(rows[draw(model)])
+    if draw(st.booleans()):
+        wrong = draw(st.integers(0, n - 1))
+        rows[draw(model)] = [int(i != wrong) for i in range(n)]
+    team_size = draw(st.none() | st.integers(2, m))
+    sample_size = draw(st.sampled_from([1, 2, 5, 100]))
+    return rows, team_size, sample_size, draw(st.integers(0, 2**16))
+
+
+def _compare_with_oracles(case) -> bool:
+    """Check the score table, rules, fq selections and eq fusions of one pool
+    against the oracles; False when a near-tie made the example ambiguous."""
+    rows, team_size, sample_size, seed = case
+    corr = corr_from(rows)
+    cands = enumerate_teams(len(rows), team_size)
+    neg_sets = focal_negative_sets(corr, sample_size, seed)
+    assert set(neg_sets) == {f for f, row in enumerate(rows) if 0 in row}
+    teams = [t.members for t in cands]
+    selected = {mode: {} for mode in FQ_MODES}
+    expected = {mode: {} for mode in FQ_MODES}
+    for metric in MetricId:
+        table = FocalScoreTable(metric, cands, corr, neg_sets)
+        for k, t in enumerate(cands):
+            for f in range(len(rows)):
+                if f in t.members and f in neg_sets:
+                    want = o_normalized(metric.value, [[rows[i][j] for j in neg_sets[f]]
+                                                       for i in t.members])
+                    assert abs(table.scores[k, f] - want) <= 1e-12, (metric, t.key, f)
+                else:
+                    assert np.isnan(table.scores[k, f]), (metric, t.key, f)
+        scores = [tuple(None if np.isnan(table.scores[k, f]) else float(table.scores[k, f])
+                        for f in t.members) for k, t in enumerate(cands)]
+        oracle_rules, margin = o_fq_rules(teams, scores)
+        # both sides split the same values; only a refinement midpoint, a
+        # float sum taken in another order, can fall on the other side of a value
+        if margin < 1e-9:
+            return False
+        rules = learn_fq_rules(metric, cands, table)
+        assert [(r.focal, r.size, r.keep_all) for r in rules] == \
+            [(f, size, keep_all) for f, size, _, keep_all in oracle_rules]
+        np.testing.assert_allclose([r.cutoff for r in rules],
+                                   [cutoff for _, _, cutoff, _ in oracle_rules],
+                                   rtol=0, atol=1e-12)
+        for mode in FQ_MODES:
+            got = selected[mode][metric] = fq_select(metric, cands, rules, table, mode)
+            want = expected[mode][metric] = o_fq_select(teams, scores, oracle_rules, mode)
+            assert [t.members for t in got.teams] == [members for members, _ in want]
+            np.testing.assert_allclose(got.scores, [score for _, score in want],
+                                       rtol=0, atol=1e-12)
+    for mode in FQ_MODES:
+        for metrics in (DEFAULT_EQ_METRICS, tuple(MetricId)):
+            fused = eq_fuse([selected[mode][m] for m in metrics])
+            want = o_eq_fuse([expected[mode][m] for m in metrics])
+            assert [t.members for t in fused.teams] == [members for members, _ in want]
+            np.testing.assert_allclose(fused.scores, [score for _, score in want],
+                                       rtol=0, atol=1e-12)
+    return True
+
+
+def test_fq_and_eq_match_oracles():
+    outcomes = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=focal_pools())
+    def check(case):
+        outcomes.append(_compare_with_oracles(case))
+
+    check()
+    skipped = outcomes.count(False)
+    assert skipped <= len(outcomes) // 5, f"{skipped} of {len(outcomes)} examples skipped"
 
 
 # ---------------------------------------------------------------- eq fuse

@@ -31,6 +31,16 @@ def test_enumerate_size_filter():
     assert all(t.size == 3 for t in cands)
 
 
+def test_membership_matrix_matches_teams():
+    for m, size in ((5, None), (7, 3), (12, None)):
+        cands = enumerate_teams(m, size_filter=size)
+        assert cands.members.shape == (len(cands), m)
+        for k, t in enumerate(cands):
+            assert cands.members[k].nonzero()[0].tolist() == list(t.members)
+        with pytest.raises(ValueError):
+            cands.members[0, 0] = not cands.members[0, 0]
+
+
 def test_enumerate_errors():
     with pytest.raises(TeamLimitError):
         enumerate_teams(1)
