@@ -142,15 +142,14 @@ def cmd_diversity(args) -> int:
     neg = build_negative_set(corr, args.sampling, args.sample_size, args.seed,
                              focal=args.focal)
     if args.team is not None:
-        teams = [parse_team(args.team)]
-        _check_team(teams[0], pool)
+        team = parse_team(args.team)
+        _check_team(team, pool)
+        cands = CandidateSet.of([team], pool.num_models)
     else:
-        teams = list(enumerate_teams(pool.num_models, args.team_size))
-    raws = [diversity_score(metric, t, corr, neg) for t in teams]
-    rows = [
-        {"team": t.key, "size": t.size, "raw": raw, "normalized": normalize(metric, raw)}
-        for t, raw in zip(teams, raws)
-    ]
+        cands = enumerate_teams(pool.num_models, args.team_size)
+    raws = diversity_score(metric, cands.members, corr, neg).tolist()
+    rows = [{"team": t.key, "size": t.size, "raw": raw, "normalized": normalize(metric, raw)}
+            for t, raw in zip(cands, raws)]
     # build_negative_set takes --focal with --sampling focal only
     tag = args.sampling if args.focal is None else f"focal:{args.focal}"
     context = f"{tag}[n={len(neg)},seed={args.seed}]"
@@ -205,6 +204,9 @@ def _evaluate_reports(cands: CandidateSet, selected: SelectedSet, pool: Predicti
     if selected.pool_size != cands.pool_size:
         raise DivselError(f"selected set is for a pool of {selected.pool_size} models, "
                           f"but the pool has {cands.pool_size}")
+    if selected.candidate_count > len(cands):
+        raise DivselError(f"selected set counts {selected.candidate_count} candidates, "
+                          f"but the pool has {len(cands)}")
     position = {t: i for i, t in enumerate(cands.teams)}
     foreign = [t.key for t in selected.teams if t not in position]
     if foreign:
@@ -262,30 +264,24 @@ def cmd_query(args) -> int:
     _check_team(team, pool)
     method = _consensus_method(args)
     # sub-teams of the query team, smallest first, full team last
-    subteams = [
-        EnsembleTeam(tuple(combo))
-        for size in range(2, team.size + 1)
-        for combo in combinations(team.members, size)
-    ]
-    evals = evaluate_teams(subteams, pool, corr, method, threads=args.threads)
+    subteams = CandidateSet.of((EnsembleTeam(combo)
+                                for size in range(2, team.size + 1)
+                                for combo in combinations(team.members, size)),
+                               pool.num_models)
+    evals = evaluate_teams(subteams.teams, pool, corr, method, threads=args.threads)
     # diversity of each sub-team on the negatives of the querying members
-    member_corr = CorrectnessMatrix(
-        omega=corr.omega[np.asarray(team.members)],
-        accuracies=corr.accuracies[np.asarray(team.members)],
-    )
+    members = np.asarray(team.members)
+    member_corr = CorrectnessMatrix(corr.omega[members], corr.accuracies[members])
+    rows = rpt.team_evaluations_to_dicts(evals)
     try:
         neg = sample_subset(negatives_any(member_corr), args.sample_size, args.seed)
+        scores = [normalize(m, diversity_score(m, subteams.members, corr, neg)).tolist()
+                  for m in MetricId]
+        diversity = [{m.value: s for m, s in zip(MetricId, col)} for col in zip(*scores)]
     except EmptyNegativesError:
-        neg = None
-    rows = rpt.team_evaluations_to_dicts(evals)
-    for row, sub in zip(rows, subteams):
-        if neg is None:
-            row["diversity"] = None
-            continue
-        row["diversity"] = {
-            m.value: normalize(m, diversity_score(m, sub, corr, neg))
-            for m in MetricId
-        }
+        diversity = [None] * len(rows)
+    for row, div in zip(rows, diversity):
+        row["diversity"] = div
     summary = summarize(f"query-{team.key}", evals, len(subteams),
                         float(corr.accuracies.max()))
     if _resolve_format(args) == "table":

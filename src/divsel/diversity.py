@@ -9,17 +9,22 @@ diversity (gd).
 Every score is also exposed in a normalized orientation where *lower
 means more diverse*: bd, kw and gd are flipped to 1 - value, the
 agreement-style metrics ck, qs and fk are kept as-is.
+
+``raw_score(metric, omega_neg, members)`` scores the rows of a K×M boolean
+membership matrix, one team each, on one negative set's correctness block.
+A faster kernel in its place must return bit-identical values: rule learning
+splits at 2-means midpoints that can sit one rounding step from a score.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import EmptyNegativesError
 from .pool import CorrectnessMatrix
-from .teaming import EnsembleTeam
 
 
 class MetricId(str, Enum):
@@ -161,22 +166,22 @@ _TEAM_FUNCS = {
 }
 
 
-def raw_score(metric: MetricId, rows: np.ndarray) -> float:
-    """Dispatch: raw metric value for a stack of team correctness rows."""
-    if metric.pairwise:
-        return pairwise_average(metric, rows)
-    return _TEAM_FUNCS[metric](rows)
+def raw_score(metric: MetricId, omega_neg: np.ndarray, members) -> np.ndarray:
+    """Raw values of the teams ``omega_neg[members[k]]``: ``omega_neg`` is one
+    negative set's M×n correctness block, ``members`` a K×M boolean matrix."""
+    score = partial(pairwise_average, metric) if metric.pairwise else _TEAM_FUNCS[metric]
+    return np.array([score(omega_neg[row]) for row in np.asarray(members, dtype=bool)])
 
 
-def normalize(metric: MetricId, raw: float) -> float:
-    """Orient a raw value so that lower always means more diverse."""
+def normalize(metric: MetricId, raw):
+    """Orient raw values so that lower always means more diverse."""
     return 1.0 - raw if metric.flipped else raw
 
 
-def diversity_score(metric: MetricId, team: EnsembleTeam, corr: CorrectnessMatrix,
-                    neg: np.ndarray) -> float:
-    """Raw ``metric`` value of one team on the negative indices ``neg``;
-    ``normalize`` orients it."""
+def diversity_score(metric: MetricId, members, corr: CorrectnessMatrix,
+                    neg: np.ndarray) -> np.ndarray:
+    """Raw ``metric`` value of each team (a row of the K×M membership matrix
+    ``members``) on the negative indices ``neg``; ``normalize`` orients it."""
     if len(neg) == 0:
         raise EmptyNegativesError("cannot score diversity on an empty negative set")
-    return raw_score(metric, corr.omega[np.asarray(team.members)][:, neg])
+    return raw_score(metric, corr.omega[:, neg], members)

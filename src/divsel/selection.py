@@ -66,6 +66,8 @@ class SelectedSet:
     def __post_init__(self):
         if len(self.teams) != len(self.scores):
             raise ValueError("teams and scores must align")
+        if self.candidate_count < len(self.teams):
+            raise ValueError(f"more teams than the {self.candidate_count} candidates")
         keys = [t.key for t in self.teams]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate teams in selected set")
@@ -99,15 +101,9 @@ def q_select(metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
     the arithmetic mean of all scores, and exactly the teams scoring
     strictly below it are kept.
     """
-    if len(cands) == 0:
-        raise DivselError("empty candidate set")
     if len(neg) == 0:
         raise EmptyNegativesError("cannot select on an empty negative set")
-    omega_neg = corr.omega[:, neg]
-    scores = np.array([
-        normalize(metric, raw_score(metric, omega_neg[np.asarray(t.members)]))
-        for t in cands
-    ])
+    scores = normalize(metric, raw_score(metric, corr.omega[:, neg], cands.members))
     threshold, keep = mean_threshold(scores)
     selected = SelectedSet(
         method=f"q-{metric.value}",
@@ -162,19 +158,18 @@ class FocalScoreTable:
 
     ``scores[k, f]`` (K×M float64) is candidate k's diversity on focal model
     f's negative samples; it is NaN where f is not in team k or never errs
-    (f is absent from ``neg_sets``).  Each (focal, team) cell is scored once.
+    (f is absent from ``neg_sets``).  Column f comes from one ``raw_score``
+    call over the candidates that contain f.
     """
 
     def __init__(self, metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
                  neg_sets: dict[int, np.ndarray]):
         self.neg_sets = neg_sets
-        omega_by_focal = {focal: corr.omega[:, neg] for focal, neg in neg_sets.items()}
         self.scores = np.full(cands.members.shape, np.nan)
-        for k, t in enumerate(cands):
-            members = np.asarray(t.members)
-            for focal in omega_by_focal.keys() & t.members:
-                self.scores[k, focal] = normalize(
-                    metric, raw_score(metric, omega_by_focal[focal][members]))
+        for focal, neg in neg_sets.items():
+            has_focal = cands.members[:, focal]
+            self.scores[has_focal, focal] = normalize(
+                metric, raw_score(metric, corr.omega[:, neg], cands.members[has_focal]))
 
 
 def rule_cells(cands: CandidateSet):

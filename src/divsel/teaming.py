@@ -72,12 +72,22 @@ def parse_team(text: str) -> EnsembleTeam:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """All enumerated candidate teams for a pool of ``pool_size`` models;
-    ``members[k, f]`` (read-only, K×M) is True when model f is in team k."""
+    """Candidate teams for a pool of ``pool_size`` models; ``members[k, f]``
+    (read-only, K×M) is True when model f is in team k."""
 
     teams: tuple[EnsembleTeam, ...]
     pool_size: int
     members: np.ndarray = field(compare=False, repr=False)
+
+    @classmethod
+    def of(cls, teams, pool_size: int) -> "CandidateSet":
+        """The teams, in order, with their membership matrix over ``pool_size`` models."""
+        teams = tuple(teams)
+        members = np.zeros((len(teams), pool_size), dtype=bool)
+        members[np.repeat(np.arange(len(teams)), [t.size for t in teams]),
+                [f for t in teams for f in t.members]] = True
+        members.flags.writeable = False
+        return cls(teams=teams, pool_size=pool_size, members=members)
 
     def __len__(self) -> int:
         return len(self.teams)
@@ -104,13 +114,6 @@ def enumerate_teams(pool_size: int, size_filter: int | None = None) -> Candidate
         raise TeamLimitError(
             f"team-size filter {size_filter} outside valid range [2, {pool_size}]"
         )
-    teams = tuple(
-        EnsembleTeam(members)
-        for size in range(lo, hi + 1)
-        for members in combinations(range(pool_size), size)
-    )
-    members = np.zeros((len(teams), pool_size), dtype=bool)
-    members[np.repeat(np.arange(len(teams)), [t.size for t in teams]),
-            [f for t in teams for f in t.members]] = True
-    members.flags.writeable = False
-    return CandidateSet(teams=teams, pool_size=pool_size, members=members)
+    return CandidateSet.of((EnsembleTeam(members)
+                            for size in range(lo, hi + 1)
+                            for members in combinations(range(pool_size), size)), pool_size)

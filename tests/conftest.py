@@ -6,11 +6,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from divsel.diversity import raw_score
 from divsel.pool import ModelRecord, build_pool
 
 # shared 10-sample correctness fixture used across the metric tests
 FIXTURE_WI = [1, 1, 1, 1, 0, 0, 1, 0, 1, 1]
 FIXTURE_WJ = [1, 0, 1, 1, 1, 0, 1, 0, 0, 1]
+
+
+def team_score(metric, rows) -> float:
+    """Raw ``metric`` value of one team's correctness rows: a batch of one."""
+    rows = np.asarray(rows)
+    return float(raw_score(metric, rows, np.ones((1, rows.shape[0]), dtype=bool))[0])
 
 
 def write_manifest(tmp_path, labels, pred_rows, probs_rows=None, num_classes=None,

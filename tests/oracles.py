@@ -1,5 +1,6 @@
 """Independent direct-from-formula oracles for the diversity metrics, the
-sequential boosting-weight walk, and focal-rule selection.
+sequential boosting-weight walk, focal-rule selection, the four consensus
+votes and set summaries.
 
 Deliberately written with plain Python loops and no shared code with the
 library, so the two sides of every metric check fail independently.
@@ -211,3 +212,90 @@ def o_eq_fuse(selections):
     maps = [dict(selection) for selection in selections]
     return [(members, sum(m[members] for m in maps) / len(maps))
             for members, _ in selections[0] if all(members in m for m in maps)]
+
+
+def o_argmax(values):
+    """Index of the largest value; ties go to the lowest index."""
+    best = 0
+    for c in range(1, len(values)):
+        if values[c] > values[best]:
+            best = c
+    return best
+
+
+def o_soft_vote(probs):
+    """Per-sample soft vote: ``probs[i][k]`` is member i's class probability row
+    on sample k; rows are summed in member order, divided by the team size,
+    and the argmax taken."""
+    s = len(probs)
+    out = []
+    for k in range(len(probs[0])):
+        total = [0.0] * len(probs[0][k])
+        for i in range(s):
+            for c in range(len(total)):
+                total[c] += probs[i][k][c]
+        out.append(o_argmax([x / s for x in total]))
+    return out
+
+
+def o_boosting_vote(probs, weights):
+    """Per-sample boosting vote: like ``o_soft_vote`` with member i's row scaled
+    by ``weights[i]`` before it is added."""
+    s = len(probs)
+    out = []
+    for k in range(len(probs[0])):
+        total = [0.0] * len(probs[0][k])
+        for i in range(s):
+            for c in range(len(total)):
+                total[c] += weights[i] * probs[i][k][c]
+        out.append(o_argmax([x / s for x in total]))
+    return out
+
+
+def _o_vote_counts(preds, num_classes, k):
+    counts = [0] * num_classes
+    for row in preds:
+        counts[row[k]] += 1
+    return counts
+
+
+def o_majority_vote(preds, num_classes):
+    """Per-sample majority vote over member labels ``preds[i][k]``: the most-voted
+    class when it has more than half the votes, else -1 (abstain)."""
+    out = []
+    for k in range(len(preds[0])):
+        counts = _o_vote_counts(preds, num_classes, k)
+        top = o_argmax(counts)
+        out.append(top if 2 * counts[top] > len(preds) else -1)
+    return out
+
+
+def o_plurality_vote(preds, num_classes):
+    """Per-sample plurality vote: the most-voted class, never abstaining."""
+    return [o_argmax(_o_vote_counts(preds, num_classes, k)) for k in range(len(preds[0]))]
+
+
+def o_summarize(label, teams, num_candidates, pool_max):
+    """A set report, keyed as its JSON record, from one (key, accuracy, best
+    member accuracy) triple per team.  The best team is the smallest key among
+    those of highest accuracy; the standard deviation is the population one."""
+    count = len(teams)
+    report = {"method": label, "num_candidates": num_candidates, "num_selected": count,
+              "acc_min": None, "acc_max": None, "acc_mean": None, "acc_std": None,
+              "pool_max_accuracy": pool_max, "num_beats_members": 0,
+              "pct_beats_members": 0.0, "num_beats_pool": 0, "pct_beats_pool": 0.0,
+              "best_team": None, "best_accuracy": None}
+    if count == 0:
+        return report
+    accs = [acc for _, acc, _ in teams]
+    mean = sum(accs) / count
+    best = max(accs)
+    beats_members = sum(1 for _, acc, member_max in teams if acc >= member_max)
+    beats_pool = sum(1 for acc in accs if acc >= pool_max)
+    report.update(acc_min=min(accs), acc_max=best, acc_mean=mean,
+                  acc_std=math.sqrt(sum((acc - mean) ** 2 for acc in accs) / count),
+                  num_beats_members=beats_members, pct_beats_members=beats_members / count,
+                  num_beats_pool=beats_pool, pct_beats_pool=beats_pool / count,
+                  best_team=min(key for key, acc, _ in teams if acc == best),
+                  best_accuracy=best)
+    return report

@@ -15,7 +15,7 @@ import numpy as np
 from divsel.cli import main
 from divsel.consensus import (ABSTAIN, ConsensusMethod, boosting_vote, boosting_weights,
                               majority_vote, plurality_vote, soft_vote)
-from divsel.diversity import MetricId, pairwise_average, raw_score
+from divsel.diversity import MetricId, pairwise_average
 from divsel.evaluation import evaluate_teams, summarize
 from divsel.pool import correctness, write_pool
 from divsel.report import format_percent
@@ -25,7 +25,7 @@ from divsel.selection import (FocalScoreTable, eq_fuse, fq_select, learn_fq_rule
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
 from divsel.teaming import enumerate_teams, team
 
-from conftest import FIXTURE_WI, FIXTURE_WJ, pool_from_probs
+from conftest import FIXTURE_WI, FIXTURE_WJ, pool_from_probs, team_score
 from oracles import o_raw
 
 # synthetic stand-in for a 10-model pool: per-model target accuracies with
@@ -67,9 +67,9 @@ def test_criterion_2_metric_oracle_equivalence():
         rows = rng.integers(0, 2, size=(s, n))
         listed = rows.tolist()
         for metric in MetricId:
-            worst = max(worst, abs(raw_score(metric, rows) - o_raw(metric.value, listed)))
+            worst = max(worst, abs(team_score(metric, rows) - o_raw(metric.value, listed)))
     fixture = np.array([FIXTURE_WI, FIXTURE_WJ])
-    values = {m: raw_score(m, fixture) for m in MetricId}
+    values = {m: team_score(m, fixture) for m in MetricId}
     expected = {
         MetricId.CK: 16 / 45, MetricId.QS: 2 / 3, MetricId.BD: 0.3,
         MetricId.FK: 1 - 1.5 / 2.275, MetricId.KW: 0.075, MetricId.GD: 1 - 0.2 / 0.35,
@@ -86,7 +86,7 @@ def test_criterion_2_metric_oracle_equivalence():
 
 def test_criterion_3_fk_differs_from_mean_ck():
     fixture = np.array([FIXTURE_WI, FIXTURE_WJ])
-    fk = raw_score(MetricId.FK, fixture)
+    fk = team_score(MetricId.FK, fixture)
     mean_ck = pairwise_average(MetricId.CK, fixture)
     diff = abs(fk - mean_ck)
     _check("criterion 3 (FK is not averaged CK)", diff > 0.01,

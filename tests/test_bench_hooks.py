@@ -84,3 +84,39 @@ def test_tracer_counts_rule_learning():
     }
     assert counts == expected
     assert all(v > 0 for v in expected.values())
+
+
+SCORE_PROBE = """
+import json, tracer
+import numpy as np
+t = tracer.Tracer("t")
+tracer.install(t)
+import divsel.cli as cli
+from divsel.pool import CorrectnessMatrix
+rows = np.array(json.loads(input()), dtype=np.uint8)
+corr = CorrectnessMatrix(omega=rows, accuracies=rows.mean(axis=1))
+cands = cli.enumerate_teams(rows.shape[0])
+neg_sets = cli.focal_negative_sets(corr, 20, 4)
+for metric in (cli.MetricId.BD, cli.MetricId.GD):
+    cli.FocalScoreTable(metric, cands, corr, neg_sets)
+span_names = {s["id"]: s["name"] for s in t.spans}
+print(json.dumps(sorted([r["name"], span_names.get(r["parent"]), r["calls"]]
+                        for r in t.tally_records())))
+"""
+
+
+def test_tracer_tallies_one_raw_score_call_per_focal():
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 2, size=(5, 50))
+    rows[1] = 1  # never errs: no negatives, no call
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", SCORE_PROBE], cwd=ROOT / "perfbench",
+                          env=env, input=json.dumps(rows.tolist()), capture_output=True,
+                          text=True, timeout=60, check=True)
+    corr = CorrectnessMatrix(omega=rows.astype(np.uint8), accuracies=rows.mean(axis=1))
+    focals = len(focal_negative_sets(corr, 20, 4))
+    assert focals == 4
+    assert json.loads(proc.stdout) == [
+        ["diversity.raw_score.pairwise", "selection.FocalScoreTable", focals],
+        ["diversity.raw_score.team", "selection.FocalScoreTable", focals],
+    ]

@@ -7,6 +7,7 @@ from divsel.pool import correctness, load_pool
 from divsel.report import load_selected_set, selected_set_to_dict
 from divsel.sampling import DEFAULT_SAMPLE_SIZE, build_negative_set
 from divsel.selection import eq_fuse
+from divsel.teaming import enumerate_teams
 
 from oracles import o_normalized, o_raw
 
@@ -280,6 +281,24 @@ def test_report_rejects_selected_set_of_another_pool(pool_dir, tmp_path, capsys,
                  "--in", str(selected)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count, code", [(-7, 1), (0, 1), (12, 1), (13, 0), (26, 0),
+                                         (27, 1), (10**6, 1)])
+def test_report_checks_candidate_count(pool_dir, tmp_path, capsys, count, code):
+    # 13 selected teams need at least 13 candidates; a 5-model pool has 26
+    keys = [t.key for t in enumerate_teams(5)][:13]
+    selected = tmp_path / "sel.json"
+    selected.write_text(json.dumps({"method": "x", "pool_size": 5,
+                                    "num_candidates": count, "teams": keys}))
+    assert main(["report", "--pool", str(pool_dir / "manifest.json"),
+                 "--in", str(selected)]) == code
+    captured = capsys.readouterr()
+    if code:
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and captured.out == ""
+    else:
+        assert json.loads(captured.out)["reports"][1]["num_candidates"] == count
 
 
 def test_non_utf8_input_files_exit_1(pool_dir, tmp_path, capsys):

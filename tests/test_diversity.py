@@ -10,9 +10,9 @@ from divsel.diversity import (MetricId, agreement_counts, binary_disagreement,
 from divsel.errors import EmptyNegativesError
 from divsel.pool import CorrectnessMatrix
 from divsel.sampling import sample_subset
-from divsel.teaming import team
+from divsel.teaming import CandidateSet, team
 
-from conftest import FIXTURE_WI, FIXTURE_WJ
+from conftest import FIXTURE_WI, FIXTURE_WJ, team_score
 from oracles import o_normalized, o_pair_counts, o_raw
 
 TOL = 1e-12
@@ -163,7 +163,7 @@ def test_oracle_equivalence_200_instances():
     for rows in _random_instances(200):
         listed = rows.tolist()
         for metric in MetricId:
-            assert raw_score(metric, rows) == pytest.approx(
+            assert team_score(metric, rows) == pytest.approx(
                 o_raw(metric.value, listed), abs=TOL), (metric, listed)
 
 
@@ -181,23 +181,50 @@ def team_rows(draw):
     return [[int(kind == "all correct")] * n] * s
 
 
+@st.composite
+def teams_on_block(draw):
+    """One correctness block of 2-12 models and 1-6 teams of mixed sizes on it,
+    as membership rows; the first team is the whole block."""
+    rows = draw(team_rows())
+    subsets = draw(st.lists(st.sets(st.integers(0, len(rows) - 1), min_size=2),
+                            max_size=5))
+    return rows, [[True] * len(rows)] + [[f in s for f in range(len(rows))]
+                                         for s in subsets]
+
+
+CLOSED_FORMS = {MetricId.FK: fleiss_kappa, MetricId.KW: kw_variance,
+                MetricId.GD: generalized_diversity}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(rows=team_rows())
-@example(rows=[[1], [0]])
-@example(rows=[[0]] * 12)
-@example(rows=[[1, 0, 1]] * 12)
-def test_raw_score_matches_oracle(rows):
+@given(case=teams_on_block())
+@example(case=([[1], [0]], [[True, True]]))
+@example(case=([[0]] * 12, [[True] * 12, [True, False] * 6]))
+@example(case=([[1, 1, 1]] * 4, [[True] * 4, [False, True, True, False]]))
+@example(case=([[1, 0, 1]] * 12, [[True] * 12]))
+@example(case=([[1, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 1]],
+               [[True] * 3, [True, True, False], [False, True, True], [True, False, True]]))
+def test_raw_score_matches_oracle(case):
+    rows, teams = case
+    block = np.array(rows, dtype=np.uint8)
+    members = np.array(teams, dtype=bool)
     for metric in MetricId:
-        assert raw_score(metric, np.array(rows, dtype=np.uint8)) == pytest.approx(
-            o_raw(metric.value, rows), abs=TOL), metric
+        scores = raw_score(metric, block, members)
+        assert scores.shape == (len(teams),)
+        for score, row in zip(scores, members):
+            assert score == pytest.approx(o_raw(metric.value, block[row].tolist()),
+                                          abs=TOL), metric
+            closed = (pairwise_average(metric, block[row]) if metric.pairwise
+                      else CLOSED_FORMS[metric](block[row]))
+            assert score == closed, metric
 
 
 def test_pairwise_symmetry():
     for rows in _random_instances(50, max_s=2):
         swapped = rows[::-1]
         for metric in (MetricId.CK, MetricId.QS, MetricId.BD):
-            assert raw_score(metric, rows) == pytest.approx(
-                raw_score(metric, swapped), abs=TOL)
+            assert team_score(metric, rows) == pytest.approx(
+                team_score(metric, swapped), abs=TOL)
 
 
 def test_permutation_invariance():
@@ -207,18 +234,18 @@ def test_permutation_invariance():
         sample_perm = rng.permutation(rows.shape[1])
         shuffled = rows[member_perm][:, sample_perm]
         for metric in MetricId:
-            assert raw_score(metric, rows) == pytest.approx(
-                raw_score(metric, shuffled), abs=TOL)
+            assert team_score(metric, rows) == pytest.approx(
+                team_score(metric, shuffled), abs=TOL)
 
 
 def test_metric_bounds():
     for rows in _random_instances(100, seed=999):
-        ck = raw_score(MetricId.CK, rows)
-        qs = raw_score(MetricId.QS, rows)
-        bd = raw_score(MetricId.BD, rows)
-        gd = raw_score(MetricId.GD, rows)
-        kw = raw_score(MetricId.KW, rows)
-        fk = raw_score(MetricId.FK, rows)
+        ck = team_score(MetricId.CK, rows)
+        qs = team_score(MetricId.QS, rows)
+        bd = team_score(MetricId.BD, rows)
+        gd = team_score(MetricId.GD, rows)
+        kw = team_score(MetricId.KW, rows)
+        fk = team_score(MetricId.FK, rows)
         assert -1.0 - TOL <= ck <= 1.0 + TOL
         assert -1.0 - TOL <= qs <= 1.0 + TOL
         assert -TOL <= bd <= 1.0 + TOL
@@ -230,12 +257,12 @@ def test_metric_bounds():
 def test_duplicate_rows_give_extreme_scores():
     row = np.array([1, 1, 0, 1, 0, 1])
     rows = np.stack([row, row, row])
-    assert raw_score(MetricId.CK, rows) == 1.0
-    assert raw_score(MetricId.QS, rows) == 1.0
-    assert raw_score(MetricId.FK, rows) == pytest.approx(1.0, abs=TOL)
-    assert raw_score(MetricId.BD, rows) == 0.0
-    assert raw_score(MetricId.KW, rows) == 0.0
-    assert raw_score(MetricId.GD, rows) == 0.0
+    assert team_score(MetricId.CK, rows) == 1.0
+    assert team_score(MetricId.QS, rows) == 1.0
+    assert team_score(MetricId.FK, rows) == pytest.approx(1.0, abs=TOL)
+    assert team_score(MetricId.BD, rows) == 0.0
+    assert team_score(MetricId.KW, rows) == 0.0
+    assert team_score(MetricId.GD, rows) == 0.0
     for metric in MetricId:
         assert o_normalized(metric.value, rows.tolist()) == pytest.approx(1.0, abs=TOL)
 
@@ -245,20 +272,21 @@ def test_duplicate_rows_give_extreme_scores():
 def test_diversity_score_normalization():
     corr = corr_from([FIXTURE_WI, FIXTURE_WJ])
     neg = sample_subset(np.arange(10), 10, seed=0)
-    t = team(0, 1)
-    bd = diversity_score(MetricId.BD, t, corr, neg)
+    t = CandidateSet.of([team(0, 1)], 2).members
+    [bd] = diversity_score(MetricId.BD, t, corr, neg)
     assert bd == pytest.approx(0.3)
     assert normalize(MetricId.BD, bd) == pytest.approx(0.7)
-    gd = diversity_score(MetricId.GD, t, corr, neg)
+    [gd] = diversity_score(MetricId.GD, t, corr, neg)
     assert normalize(MetricId.GD, gd) == pytest.approx(1 - 3 / 7)
-    ck = diversity_score(MetricId.CK, t, corr, neg)
+    [ck] = diversity_score(MetricId.CK, t, corr, neg)
     assert normalize(MetricId.CK, ck) == ck == pytest.approx(16 / 45)
 
 
 def test_diversity_score_restricts_to_negative_columns():
     corr = corr_from([FIXTURE_WI, FIXTURE_WJ])
     neg = sample_subset(np.array([1, 4, 5, 7, 8]), 10, seed=0)
-    score = diversity_score(MetricId.BD, team(0, 1), corr, neg)
+    [score] = diversity_score(MetricId.BD, CandidateSet.of([team(0, 1)], 2).members, corr,
+                              neg)
     # on {1,4,5,7,8} the rows are [1,0,0,0,1] and [0,1,0,0,0]: 3 of 5 differ
     assert score == pytest.approx(3 / 5)
 
@@ -267,7 +295,7 @@ def test_diversity_score_empty_negatives():
     corr = corr_from([FIXTURE_WI, FIXTURE_WJ])
     empty = np.array([], dtype=np.int64)
     with pytest.raises(EmptyNegativesError):
-        diversity_score(MetricId.BD, team(0, 1), corr, empty)
+        diversity_score(MetricId.BD, CandidateSet.of([team(0, 1)], 2).members, corr, empty)
 
 
 def test_metric_parse():

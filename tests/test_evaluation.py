@@ -1,15 +1,22 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from divsel.consensus import ConsensusMethod
+from divsel.consensus import METHODS, ConsensusMethod, boosting_weights
 from divsel.evaluation import evaluate_set, evaluate_team, evaluate_teams, summarize
-from divsel.pool import correctness
+from divsel.pool import ModelRecord, build_pool, correctness
 from divsel.report import (format_percent, selected_set_from_dict, selected_set_to_dict,
                            set_report_to_dict, set_reports_to_csv, set_reports_to_table)
 from divsel.selection import SelectedSet
 from divsel.synth import SynthConfig, generate_pool
 from divsel.teaming import enumerate_teams, team
+
+from oracles import (o_boosting_vote, o_majority_vote, o_plurality_vote, o_soft_vote,
+                     o_summarize)
 
 SOFT = ConsensusMethod("soft")
 
@@ -88,7 +95,6 @@ def test_best_team_tie_break_is_canonical_string(small_pool):
     pool, corr = small_pool
     evals = evaluate_teams([team(0, 1), team(0, 2)], pool, corr, SOFT)
     # force a tie by overwriting accuracies
-    import dataclasses
     tied = [dataclasses.replace(e, ensemble_accuracy=0.5) for e in evals]
     report = summarize("tied", tied, 2, 1.0)
     assert report.best_team == "01"
@@ -106,6 +112,79 @@ def test_threads_do_not_change_results(small_pool):
     r1 = evaluate_set(cands.teams, pool, corr, SOFT, "x", threads=1)
     r8 = evaluate_set(cands.teams, pool, corr, SOFT, "x", threads=8)
     assert r1 == r8
+
+
+@st.composite
+def vote_cases(draw):
+    """A pool of 3-6 models, 5-60 samples and 2-4 classes, a consensus method,
+    a thread count and a pick of teams.  Each probability is 0, 1 or 2 parts
+    of its row's sum, so members and team sums tie often; labels-only pools
+    use the two label votes, and model 0 may never err."""
+    m, n, c = draw(st.integers(3, 6)), draw(st.integers(5, 60)), draw(st.integers(2, 4))
+    labels_only, perfect = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, c, n)
+    models = []
+    for i in range(m):
+        parts = rng.integers(0, 3, (n, c)).astype(np.float64)
+        if perfect and i == 0:
+            parts = np.eye(c)[labels]
+        parts[parts.sum(axis=1) == 0] = 1.0
+        probs = parts / parts.sum(axis=1, keepdims=True)
+        models.append(ModelRecord(id=i, name=f"m{i}", pred_labels=probs.argmax(axis=1),
+                                  probs=None if labels_only else probs))
+    pool = build_pool("votes", c, labels, models)
+    kind = draw(st.sampled_from(("majority", "plurality") if labels_only else METHODS))
+    train = None
+    if kind == "boosting" and draw(st.booleans()):
+        train = rng.integers(0, n, int(rng.integers(1, n + 1)))
+    picks = draw(st.lists(st.integers(0, 2**m - m - 2), unique=True, max_size=12))
+    return pool, ConsensusMethod(kind, train_indices=train), draw(st.sampled_from([1, 2])), picks
+
+
+def _oracle_votes(t, pool, method):
+    preds = [pool.models[i].pred_labels.tolist() for i in t.members]
+    probs = [pool.models[i].probs.tolist() if pool.models[i].has_probs else None
+             for i in t.members]
+    if method.kind == "soft":
+        return o_soft_vote(probs)
+    if method.kind == "boosting":  # the weights have their own oracle test
+        return o_boosting_vote(probs, boosting_weights(t, pool, method.train_indices,
+                                                       method.gamma).tolist())
+    if method.kind == "majority":
+        return o_majority_vote(preds, pool.num_classes)
+    return o_plurality_vote(preds, pool.num_classes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=vote_cases())
+def test_evaluation_matches_vote_and_summary_oracles(case):
+    pool, method, threads, picks = case
+    corr = correctness(pool)
+    cands = enumerate_teams(pool.num_models)
+    evals = evaluate_teams(cands.teams, pool, corr, method, threads=threads)
+    labels = pool.labels.tolist()
+    member_acc = [sum(p == y for p, y in zip(m.pred_labels.tolist(), labels)) / len(labels)
+                  for m in pool.models]
+    rows = []
+    for t, ev in zip(cands, evals):
+        votes = _oracle_votes(t, pool, method)
+        row = ("".join(str(i) for i in t.members),
+               sum(v == y for v, y in zip(votes, labels)) / len(labels),
+               max(member_acc[i] for i in t.members))
+        assert (ev.team, ev.ensemble_accuracy, ev.member_max_accuracy) == row
+        rows.append(row)
+    for label, chosen in (("baseline", range(len(rows))), ("picked", picks)):
+        got = dataclasses.asdict(summarize(label, [evals[k] for k in chosen], len(cands),
+                                           float(corr.accuracies.max())))
+        want = o_summarize(label, [rows[k] for k in chosen], len(cands), max(member_acc))
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, abs=1e-12), key
+            else:
+                assert got[key] == value, key
 
 
 # --------------------------------------------------------------- rendering

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsel.diversity import MetricId, normalize, raw_score
+from divsel.diversity import MetricId, normalize
 from divsel.errors import DivselError, RuleCoverageError
 from divsel.pool import CorrectnessMatrix, correctness
 from divsel.sampling import focal_negative_sets, sample_subset
@@ -16,6 +16,7 @@ from divsel.selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, Sel
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
 from divsel.teaming import enumerate_teams, team
 
+from conftest import team_score
 from oracles import o_eq_fuse, o_fq_rules, o_fq_select, o_normalized
 
 
@@ -198,7 +199,7 @@ def test_focal_score_table_matches_raw_score_per_cell():
                 if f == 2 or f not in t.members:
                     assert np.isnan(table.scores[k, f]), (metric, t.key, f)
                     continue
-                expected = normalize(metric, raw_score(
+                expected = normalize(metric, team_score(
                     metric, corr.omega[np.asarray(t.members)][:, neg_sets[f]]))
                 assert table.scores[k, f] == expected, (metric, t.key, f)
 

@@ -7,7 +7,7 @@ from divsel.pool import correctness, load_pool, write_pool
 from divsel.sampling import negatives_any, sample_subset
 from divsel.synth import (CorrelationGroup, SynthConfig, config_from_dict,
                           generate_pool, validate_config)
-from divsel.teaming import team
+from divsel.teaming import CandidateSet, team
 
 
 def test_perfect_models_give_all_ones_matrix():
@@ -34,7 +34,8 @@ def test_full_overlap_duplicates_error_sets():
     np.testing.assert_array_equal(corr.omega[0], corr.omega[1])
     # identical error sets mean zero binary disagreement on their negatives
     neg = sample_subset(negatives_any(corr), 1000, seed=0)
-    score = diversity_score(MetricId.BD, team(0, 1), corr, neg)
+    [score] = diversity_score(MetricId.BD, CandidateSet.of([team(0, 1)], 2).members, corr,
+                              neg)
     assert score == 0.0
 
 
