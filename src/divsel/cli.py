@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as rpt
-from .consensus import (ABSTAIN, DEFAULT_GAMMA, METHODS, ConsensusMethod,
+from .consensus import (ABSTAIN, DEFAULT_GAMMA, METHODS, PROB_METHODS, ConsensusMethod,
                         ensemble_accuracy, predict)
 from .diversity import MetricId, diversity_score, normalize
 from .errors import DivselError, EmptyNegativesError
@@ -56,7 +56,7 @@ def _resolve_format(args) -> str:
 
 
 def _load(args) -> tuple[PredictionPool, CorrectnessMatrix]:
-    pool = load_pool(args.pool)
+    pool = load_pool(args.pool, probs=getattr(args, "consensus", None) in PROB_METHODS)
     return pool, correctness(pool)
 
 

@@ -22,6 +22,7 @@ from .teaming import EnsembleTeam
 ABSTAIN = -1
 DEFAULT_GAMMA = -0.01
 METHODS = ("soft", "majority", "plurality", "boosting")
+PROB_METHODS = ("soft", "boosting")
 
 
 def _check_gamma(gamma: float) -> None:

@@ -1,8 +1,8 @@
 """Prediction pools: recorded base-model predictions plus ground truth.
 
 A pool is loaded from a JSON manifest that points at plain-text label
-files and optional per-model probability CSVs.  All arrays are marked
-read-only after validation so pools can be shared freely across workers.
+files and optional per-model probability CSVs (read only on request).
+Arrays are read-only after validation, so workers can share pools.
 
 Manifest format::
 
@@ -210,8 +210,9 @@ def _field(record: dict, key: str, kind, where: str):
     return json_typed(record[key], kind, f"{where}: {key!r}", PoolError)
 
 
-def load_pool(manifest_path: str | Path) -> PredictionPool:
-    """Load and validate a prediction pool from a JSON manifest."""
+def load_pool(manifest_path: str | Path, probs: bool = True) -> PredictionPool:
+    """Load and validate a prediction pool from a JSON manifest; with ``probs=False``
+    no probability file is opened and every ``ModelRecord.probs`` is None."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise PoolError(f"manifest not found: {manifest_path}")
@@ -247,12 +248,13 @@ def load_pool(manifest_path: str | Path) -> PredictionPool:
                 f"but labels file {labels_path} has {n}"
             )
         _check_labels(preds, num_classes, pred_path, f"pred_labels of model {mid}")
-        probs = None
+        rows = None
         if entry.get("probs"):
             probs_path = base / _field(entry, "probs", str, f"{where}, model {mid}")
-            probs = _read_probs_file(probs_path, name)
-            _check_probs(probs, preds, num_classes, probs_path)
-        models.append(ModelRecord(id=mid, name=name, pred_labels=preds, probs=probs))
+            if probs:
+                rows = _read_probs_file(probs_path, name)
+                _check_probs(rows, preds, num_classes, probs_path)
+        models.append(ModelRecord(id=mid, name=name, pred_labels=preds, probs=rows))
 
     return build_pool(str(manifest["dataset"]), num_classes, labels, models)
 

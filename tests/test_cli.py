@@ -570,3 +570,61 @@ def test_selected_set_field_types(pool_dir, tmp_path, capsys, key, value):
     assert main(["report", "--pool", str(pool_dir / "manifest.json"),
                  "--in", str(selected)]) == 1
     assert "malformed selected-set JSON" in _one_error_line(capsys)
+
+
+def _unread_probs_manifest(pool_dir, defect):
+    """The fixture manifest with model 0's probability file corrupt or missing,
+    and the error line of a command that reads it."""
+    if defect == "nan-row":
+        rows = (pool_dir / "model_0_probs.csv").read_text().splitlines()
+        rows[3] = ",".join(["nan"] * len(rows[3].split(",")))
+        (pool_dir / "probs-nan-row.csv").write_text("\n".join(rows) + "\n")
+        error = (f"error: probs file {pool_dir / 'probs-nan-row.csv'}, row 3: "
+                 "entry nan outside [0, 1]")
+    else:
+        error = (f"error: probs file for model 'synth_0' not found: "
+                 f"{pool_dir / 'probs-missing.csv'}")
+    path = _bad_manifest(pool_dir, f"probs-{defect}",
+                         lambda d: d["models"][0].update(probs=f"probs-{defect}.csv"))
+    return str(path), error
+
+
+@pytest.mark.parametrize("defect", ["nan-row", "missing"])
+def test_probability_files_read_only_by_probability_votes(pool_dir, tmp_path, capsys,
+                                                          defect):
+    # scoring, selection, majority and plurality use predicted labels only
+    bad, error = _unread_probs_manifest(pool_dir, defect)
+    clean = str(pool_dir / "manifest.json")
+    selected = str(tmp_path / "sel.json")
+    assert main(["select", "--pool", clean, "--method", "fq", "--out", selected]) == 0
+    for argv in (["select", "--method", "eq", "--seed", "3"],
+                 ["select", "--method", "q", "--metric", "kw", "--sampling", "focal",
+                  "--focal", "2"],
+                 ["diversity", "--metric", "bd", "--format", "csv"],
+                 ["report", "--in", selected, "--consensus", "majority"],
+                 ["recommend", "--method", "fq", "--consensus", "plurality",
+                  "--format", "table"],
+                 ["query", "--team", "0134", "--consensus", "majority"],
+                 ["consensus", "--team", "014", "--method", "plurality"]):
+        assert main(argv + ["--pool", clean]) == 0, argv
+        expected = capsys.readouterr().out
+        assert main(argv + ["--pool", bad]) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.out == expected and captured.err == "", argv
+    # soft and boosting read every probability file, even of non-members
+    for argv in (["consensus", "--team", "014", "--method", "soft"],
+                 ["consensus", "--team", "23", "--method", "boosting"],
+                 ["report", "--in", selected, "--consensus", "boosting"],
+                 ["recommend", "--method", "q"],
+                 ["query", "--team", "123", "--consensus", "soft"]):
+        assert main(argv + ["--pool", bad]) == 1, argv
+        assert _one_error_line(capsys) == error, argv
+
+
+def test_probs_entry_type_checked_without_reading_probabilities(pool_dir, capsys):
+    path = _bad_manifest(pool_dir, "probs-number",
+                         lambda d: d["models"][0].update(probs=5))
+    for argv in (["select", "--method", "fq"], ["diversity"]):
+        assert main(argv + ["--pool", str(path)]) == 1, argv
+        assert _one_error_line(capsys) == (f"error: manifest {path}, model 0: "
+                                           "'probs' must be a string, got 5")

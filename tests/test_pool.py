@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,45 @@ def test_arrays_are_readonly(tmp_path):
     corr = correctness(pool)
     with pytest.raises(ValueError):
         corr.omega[0, 0] = 0
+
+
+def test_load_without_probs_reads_labels_only(tmp_path):
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 3, 20)
+    rows = [rng.integers(0, 3, 20) for _ in range(3)]
+    probs = []
+    for preds in rows:
+        p = rng.random((20, 3))
+        p[np.arange(20), preds] += 10.0  # make argmax match
+        probs.append(p / p.sum(axis=1, keepdims=True))
+    probs[1] = None  # a labels-only model
+    path = write_manifest(tmp_path, labels, rows, probs_rows=probs, num_classes=3)
+    full, lean = load_pool(path), load_pool(path, probs=False)
+    assert (lean.dataset_name, lean.num_classes) == (full.dataset_name, full.num_classes)
+    np.testing.assert_array_equal(lean.labels, full.labels)
+    assert [(m.id, m.name) for m in lean.models] == [(m.id, m.name) for m in full.models]
+    for a, b in zip(lean.models, full.models):
+        np.testing.assert_array_equal(a.pred_labels, b.pred_labels)
+    assert [m.has_probs for m in full.models] == [True, False, True]
+    assert all(m.probs is None for m in lean.models)
+    np.testing.assert_array_equal(correctness(lean).omega, correctness(full).omega)
+    np.testing.assert_array_equal(correctness(lean).accuracies,
+                                  correctness(full).accuracies)
+    # the probability files are not opened
+    (tmp_path / "m0_probs.csv").unlink()
+    (tmp_path / "m2_probs.csv").write_text("not,a,csv\n")
+    load_pool(path, probs=False)
+    with pytest.raises(PoolError, match="not found"):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("value", [5, True, ["m0_probs.csv"]])
+def test_probs_entry_must_be_a_string_without_probs(tmp_path, value):
+    path = write_manifest(tmp_path, labels=[0, 1],
+                          pred_rows=[[0, 1], [1, 1]], num_classes=2)
+    doc = json.loads(path.read_text())
+    doc["models"][0]["probs"] = value
+    path.write_text(json.dumps(doc))
+    for probs in (True, False):
+        with pytest.raises(PoolError, match="'probs' must be a string"):
+            load_pool(path, probs=probs)
