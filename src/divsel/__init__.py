@@ -15,7 +15,7 @@ from .diversity import (MetricId, agreement_counts, binary_disagreement, cohens_
                         kw_variance, pairwise_average, q_statistics)
 from .errors import (CapabilityError, DivselError, EmptyNegativesError, PoolError,
                      RuleCoverageError, SynthConfigError, TeamLimitError)
-from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_team
+from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_teams
 from .pool import (CorrectnessMatrix, ModelRecord, PredictionPool, build_pool,
                    correctness, load_pool, write_pool)
 from .sampling import (build_negative_set, derive_seed, focal_negative_sets,

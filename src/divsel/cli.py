@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -211,7 +212,7 @@ def _evaluate_reports(cands: CandidateSet, selected: SelectedSet, pool: Predicti
     foreign = [t.key for t in selected.teams if t not in position]
     if foreign:
         raise DivselError(f"selected team {foreign[0]} is not a candidate of this pool")
-    evals = evaluate_teams(cands.teams, pool, corr, method, threads=threads)
+    evals = evaluate_teams(cands, pool, corr, method, threads=threads)
     p_max = float(corr.accuracies.max())
     return [summarize("baseline", evals, len(cands), p_max),
             summarize(selected.method, [evals[position[t]] for t in selected.teams],
@@ -268,7 +269,7 @@ def cmd_query(args) -> int:
                                 for size in range(2, team.size + 1)
                                 for combo in combinations(team.members, size)),
                                pool.num_models)
-    evals = evaluate_teams(subteams.teams, pool, corr, method, threads=args.threads)
+    evals = evaluate_teams(subteams, pool, corr, method, threads=args.threads)
     # diversity of each sub-team on the negatives of the querying members
     members = np.asarray(team.members)
     member_corr = CorrectnessMatrix(corr.omega[members], corr.accuracies[members])
@@ -445,6 +446,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # `divsel ... | head`: flush the rest into devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DivselError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import numpy as np
 from .consensus import ConsensusMethod, ensemble_accuracy, predict
 from .parallel import parallel_map
 from .pool import CorrectnessMatrix, PredictionPool
-from .teaming import EnsembleTeam
+from .teaming import CandidateSet
 
 
 @dataclass(frozen=True)
@@ -61,32 +61,18 @@ class SetReport:
     best_accuracy: float | None
 
 
-def evaluate_team(team: EnsembleTeam, pool: PredictionPool, corr: CorrectnessMatrix,
-                  method: ConsensusMethod) -> TeamEvaluation:
-    """Consensus accuracy of one team, compared with its best member and the pool."""
-    accuracy = ensemble_accuracy(predict(team, pool, method), pool.labels)
-    member_accs = corr.accuracies[np.asarray(team.members)]
-    best_pos = int(member_accs.argmax())
-    m_max = float(member_accs[best_pos])
-    p_max = float(corr.accuracies.max())
-    return TeamEvaluation(
-        team=team.key,
-        size=team.size,
-        ensemble_accuracy=accuracy,
-        member_max_accuracy=m_max,
-        member_max_id=team.members[best_pos],
-        pool_max_accuracy=p_max,
-        improvement=accuracy - m_max,
-        beats_members=accuracy >= m_max,
-        beats_pool=accuracy >= p_max,
-    )
-
-
-def evaluate_teams(teams, pool: PredictionPool, corr: CorrectnessMatrix,
+def evaluate_teams(cands: CandidateSet, pool: PredictionPool, corr: CorrectnessMatrix,
                    method: ConsensusMethod, threads: int = 1) -> list[TeamEvaluation]:
-    """Evaluate each team once, in input order whatever the thread count."""
-    return parallel_map(lambda t: evaluate_team(t, pool, corr, method), teams,
-                        threads=threads)
+    """Each candidate's consensus accuracy against its best member (the first
+    in member order among equals) and the pool, in candidate order whatever
+    the thread count."""
+    accs = parallel_map(lambda t: ensemble_accuracy(predict(t, pool, method), pool.labels),
+                        cands.teams, threads=threads)
+    member_accs = np.where(cands.members, corr.accuracies, -np.inf)
+    p_max = float(corr.accuracies.max())
+    return [TeamEvaluation(t.key, t.size, a, m, i, p_max, a - m, a >= m, a >= p_max)
+            for t, a, m, i in zip(cands.teams, accs, member_accs.max(axis=1).tolist(),
+                                  member_accs.argmax(axis=1).tolist())]
 
 
 def summarize(method_label: str, evals, num_candidates: int,
@@ -131,7 +117,8 @@ def evaluate_set(teams, pool: PredictionPool, corr: CorrectnessMatrix,
                  method: ConsensusMethod, label: str,
                  candidate_count: int | None = None, threads: int = 1) -> SetReport:
     """Evaluate a team set end to end and aggregate it."""
-    evals = evaluate_teams(teams, pool, corr, method, threads=threads)
+    evals = evaluate_teams(CandidateSet.of(teams, pool.num_models), pool, corr, method,
+                           threads=threads)
     return summarize(label, evals,
                      candidate_count if candidate_count is not None else len(evals),
                      float(corr.accuracies.max()))

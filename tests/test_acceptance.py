@@ -123,7 +123,7 @@ def test_criterion_5_selection_quality_trend():
     for seed in range(20):
         pool = _pool10(seed=seed)
         corr = correctness(pool)
-        evals = evaluate_teams(cands.teams, pool, corr, soft)
+        evals = evaluate_teams(cands, pool, corr, soft)
         baseline = summarize("baseline", evals, len(cands),
                              float(corr.accuracies.max()))
         by_key = {e.team: e for e in evals}

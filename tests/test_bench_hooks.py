@@ -120,3 +120,38 @@ def test_tracer_tallies_one_raw_score_call_per_focal():
         ["diversity.raw_score.pairwise", "selection.FocalScoreTable", focals],
         ["diversity.raw_score.team", "selection.FocalScoreTable", focals],
     ]
+
+
+VOTE_PROBE = """
+import json, tracer
+t = tracer.Tracer("t")
+tracer.install(t)
+import divsel.cli as cli
+from divsel.synth import SynthConfig, generate_pool
+pool = generate_pool(SynthConfig(num_models=4, num_samples=60, num_classes=3,
+                                 accuracies=(0.8, 0.7, 0.7, 0.6), seed=5))
+corr = cli.correctness(pool)
+cands = cli.enumerate_teams(pool.num_models)
+for kind, threads in (("soft", 1), ("boosting", 2)):
+    cli.evaluate_teams(cands, pool, corr, cli.ConsensusMethod(kind), threads=threads)
+by_id = {s["id"]: s for s in t.spans}
+def ancestors(span):
+    while span["parent"] in by_id:
+        span = by_id[span["parent"]]
+        yield span["id"]
+predicts = [s for s in t.spans if s["name"] == "consensus.predict"]
+print(json.dumps({"candidates": len(cands), "predicts": len(predicts),
+                  "per_call": [sum(s["id"] in ancestors(p) for p in predicts)
+                               for s in t.spans if s["name"] == "evaluation.evaluate_teams"]}))
+"""
+
+
+def test_tracer_spans_one_vote_per_candidate_under_evaluate_teams():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", VOTE_PROBE], cwd=ROOT / "perfbench",
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    got = json.loads(proc.stdout)
+    k = got["candidates"]
+    assert k == 11
+    # soft on 1 thread, then boosting on 2: every vote span nests in its call
+    assert got == {"candidates": k, "predicts": 2 * k, "per_call": [k, k]}

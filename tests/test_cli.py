@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -628,3 +632,15 @@ def test_probs_entry_type_checked_without_reading_probabilities(pool_dir, capsys
         assert main(argv + ["--pool", str(path)]) == 1, argv
         assert _one_error_line(capsys) == (f"error: manifest {path}, model 0: "
                                            "'probs' must be a string, got 5")
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen([sys.executable, "-m", "divsel.cli", "enumerate", "--pool-size",
+                           "16", "--list"], env=dict(os.environ, PYTHONPATH=str(src)),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "65519\n"
+        proc.stdout.close()  # as `| head -1` does; 65,519 keys overfill the pipe
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == ""

@@ -22,7 +22,7 @@ from divsel.consensus import (DEFAULT_GAMMA, METHODS, ConsensusMethod, boosting_
 from divsel.evaluation import evaluate_teams, summarize
 from divsel.pool import correctness, load_pool
 from divsel.report import set_report_to_dict
-from divsel.teaming import enumerate_teams, parse_team
+from divsel.teaming import CandidateSet, enumerate_teams, parse_team
 
 from oracles import o_boosting_weights
 
@@ -85,8 +85,8 @@ def _method_args(kind, ctx):
 def _independent_report(ctx, kind, label, team_keys, candidate_count):
     train = np.loadtxt(ctx["train"], dtype=np.int64) if kind == "boosting" else None
     method = ConsensusMethod(kind, train_indices=train)
-    evals = evaluate_teams([parse_team(k) for k in team_keys], ctx["pool"], ctx["corr"],
-                           method)
+    teams = CandidateSet.of([parse_team(k) for k in team_keys], ctx["pool"].num_models)
+    evals = evaluate_teams(teams, ctx["pool"], ctx["corr"], method)
     return set_report_to_dict(summarize(label, evals, candidate_count,
                                         float(ctx["corr"].accuracies.max())))
 

@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from divsel.consensus import METHODS, ConsensusMethod, boosting_weights
-from divsel.evaluation import evaluate_set, evaluate_team, evaluate_teams, summarize
+from divsel.evaluation import evaluate_set, evaluate_teams, summarize
 from divsel.pool import ModelRecord, build_pool, correctness
 from divsel.report import (format_percent, selected_set_from_dict, selected_set_to_dict,
                            set_report_to_dict, set_reports_to_csv, set_reports_to_table)
 from divsel.selection import SelectedSet
 from divsel.synth import SynthConfig, generate_pool
-from divsel.teaming import enumerate_teams, team
+from divsel.teaming import CandidateSet, enumerate_teams, team
 
 from oracles import (o_boosting_vote, o_majority_vote, o_plurality_vote, o_soft_vote,
                      o_summarize)
@@ -31,7 +31,7 @@ def small_pool():
 
 def test_evaluate_team_fields(small_pool):
     pool, corr = small_pool
-    ev = evaluate_team(team(0, 1, 2), pool, corr, SOFT)
+    [ev] = evaluate_teams(CandidateSet.of([team(0, 1, 2)], 5), pool, corr, SOFT)
     assert ev.member_max_id == 0
     assert ev.member_max_accuracy == pytest.approx(float(corr.accuracies[:3].max()))
     assert ev.pool_max_accuracy == pytest.approx(float(corr.accuracies.max()))
@@ -42,7 +42,7 @@ def test_evaluate_team_fields(small_pool):
 
 def test_full_team_member_max_equals_pool_max(small_pool):
     pool, corr = small_pool
-    ev = evaluate_team(team(0, 1, 2, 3, 4), pool, corr, SOFT)
+    [ev] = evaluate_teams(CandidateSet.of([team(0, 1, 2, 3, 4)], 5), pool, corr, SOFT)
     assert ev.member_max_accuracy == ev.pool_max_accuracy
 
 
@@ -58,7 +58,7 @@ def test_single_team_report(small_pool):
 def test_report_counts_match_recount_oracle(small_pool):
     pool, corr = small_pool
     cands = enumerate_teams(5)
-    evals = evaluate_teams(cands.teams, pool, corr, SOFT)
+    evals = evaluate_teams(cands, pool, corr, SOFT)
     report = summarize("baseline", evals, len(cands), float(corr.accuracies.max()))
 
     # independent recount
@@ -93,7 +93,7 @@ def test_nested_set_monotonicity(small_pool):
 
 def test_best_team_tie_break_is_canonical_string(small_pool):
     pool, corr = small_pool
-    evals = evaluate_teams([team(0, 1), team(0, 2)], pool, corr, SOFT)
+    evals = evaluate_teams(CandidateSet.of([team(0, 1), team(0, 2)], 5), pool, corr, SOFT)
     # force a tie by overwriting accuracies
     tied = [dataclasses.replace(e, ensemble_accuracy=0.5) for e in evals]
     report = summarize("tied", tied, 2, 1.0)
@@ -163,7 +163,7 @@ def test_evaluation_matches_vote_and_summary_oracles(case):
     pool, method, threads, picks = case
     corr = correctness(pool)
     cands = enumerate_teams(pool.num_models)
-    evals = evaluate_teams(cands.teams, pool, corr, method, threads=threads)
+    evals = evaluate_teams(cands, pool, corr, method, threads=threads)
     labels = pool.labels.tolist()
     member_acc = [sum(p == y for p, y in zip(m.pred_labels.tolist(), labels)) / len(labels)
                   for m in pool.models]
@@ -174,7 +174,16 @@ def test_evaluation_matches_vote_and_summary_oracles(case):
                sum(v == y for v, y in zip(votes, labels)) / len(labels),
                max(member_acc[i] for i in t.members))
         assert (ev.team, ev.ensemble_accuracy, ev.member_max_accuracy) == row
+        _, acc, m_max = row
+        # ties are common on 5-60 samples: the first best member in member order
+        best_id = next(i for i in t.members if member_acc[i] == m_max)
+        assert (ev.member_max_id, ev.improvement, ev.beats_members, ev.beats_pool) == (
+            best_id, acc - m_max, acc >= m_max, acc >= max(member_acc))
         rows.append(row)
+    # a set of some candidates, in another order, as query's sub-teams are
+    subset = CandidateSet.of([cands.teams[k] for k in reversed(picks)], pool.num_models)
+    assert (evaluate_teams(subset, pool, corr, method, threads=threads)
+            == [evals[k] for k in reversed(picks)])
     for label, chosen in (("baseline", range(len(rows))), ("picked", picks)):
         got = dataclasses.asdict(summarize(label, [evals[k] for k in chosen], len(cands),
                                            float(corr.accuracies.max())))
