@@ -7,9 +7,8 @@ select high-diversity teams, combine member predictions with a consensus
 method, and report aggregate quality statistics.
 """
 
-from .consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction, boosting_vote,
-                        boosting_weights, ensemble_accuracy, majority_vote,
-                        plurality_vote, predict, soft_vote)
+from .consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction, boosting_weights,
+                        ensemble_accuracy, predict)
 from .diversity import (MetricId, agreement_counts, binary_disagreement, cohens_kappa,
                         diversity_score, fleiss_kappa, generalized_diversity,
                         kw_variance, pairwise_average, q_statistics)

@@ -72,6 +72,9 @@ def _check_team(team, pool) -> None:
 def _consensus_method(args) -> ConsensusMethod:
     train = None
     if args.train_indices:
+        if args.consensus != "boosting":
+            raise DivselError(f"--train-indices needs boosting consensus, "
+                              f"not {args.consensus}")
         train = _read_label_file(Path(args.train_indices), "train-indices")
     return ConsensusMethod(kind=args.consensus, gamma=args.gamma, train_indices=train)
 
@@ -137,6 +140,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_diversity(args) -> int:
+    if args.team is not None and args.team_size is not None:
+        raise DivselError("--team-size restricts the enumerated teams; it cannot "
+                          "go with --team")
     pool, corr = _load(args)
     fmt = _resolve_format(args)
     metric = MetricId.parse(args.metric)

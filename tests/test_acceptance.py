@@ -13,8 +13,7 @@ import time
 import numpy as np
 
 from divsel.cli import main
-from divsel.consensus import (ABSTAIN, ConsensusMethod, boosting_vote, boosting_weights,
-                              majority_vote, plurality_vote, soft_vote)
+from divsel.consensus import ABSTAIN, ConsensusMethod, boosting_weights, predict
 from divsel.diversity import MetricId, pairwise_average
 from divsel.evaluation import evaluate_teams, summarize
 from divsel.pool import correctness, write_pool
@@ -162,8 +161,8 @@ def test_criterion_6_consensus_invariants():
                   for i in range(s)]
         pool = build_pool("votes", 10, labels, models)
         t = team(*range(s))
-        maj = majority_vote(t, pool).labels
-        plu = plurality_vote(t, pool).labels
+        maj = predict(t, pool, ConsensusMethod("majority")).labels
+        plu = predict(t, pool, ConsensusMethod("plurality")).labels
         decided = maj != ABSTAIN
         agree &= bool((maj[decided] == plu[decided]).all())
         checked += decided.size
@@ -174,10 +173,11 @@ def test_criterion_6_consensus_invariants():
     labels = rng.integers(0, 10, 500)
     clones = pool_from_probs(labels, [probs, probs.copy(), probs.copy()],
                              num_classes=10)
-    soft_same = bool((soft_vote(team(0, 1, 2), clones).labels
+    soft_same = bool((predict(team(0, 1, 2), clones, ConsensusMethod("soft")).labels
                       == clones.models[0].pred_labels).all())
 
-    # boosting: hand value, sum contract, uniform-weight equivalence
+    # boosting: hand value, sum contract, uniform-weight equivalence on the
+    # training samples every member gets right
     one = pool_from_probs([0], [[[0.2, 0.8]], [[0.9, 0.1]]], num_classes=2)
     w = boosting_weights(team(0, 1), one, gamma=-0.01)
     hand_ok = (abs(w[0] - 0.49751) <= 1e-5 and abs(w[1] - 0.50249) <= 1e-5
@@ -185,15 +185,20 @@ def test_criterion_6_consensus_invariants():
 
     pool10 = _pool10(seed=606, num_samples=1000)
     t10 = team(0, 3, 5, 7)
-    uniform = np.full(4, 0.25)
-    boost_soft_ok = bool((boosting_vote(t10, pool10, uniform).labels
-                          == soft_vote(t10, pool10).labels).all())
+    right = np.flatnonzero(np.all([pool10.models[i].pred_labels == pool10.labels
+                                   for i in t10.members], axis=0))
+    boosting = ConsensusMethod("boosting", train_indices=right)
+    boost_soft_ok = bool(
+        right.size > 0
+        and (boosting_weights(t10, pool10, right) == 0.25).all()
+        and (predict(t10, pool10, boosting).labels
+             == predict(t10, pool10, ConsensusMethod("soft")).labels).all())
 
     ok = agree and soft_same and hand_ok and boost_soft_ok
     _check("criterion 6 (consensus invariants)", ok,
            f"majority=>plurality on {checked} vote vectors, identical-member "
            f"soft vote, boosting weights ({w[0]:.5f}, {w[1]:.5f}), "
-           f"uniform boosting == soft")
+           f"uniform boosting == soft on {right.size} error-free training samples")
 
 
 def test_criterion_7_recommend_determinism(tmp_path):

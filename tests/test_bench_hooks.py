@@ -132,7 +132,7 @@ pool = generate_pool(SynthConfig(num_models=4, num_samples=60, num_classes=3,
                                  accuracies=(0.8, 0.7, 0.7, 0.6), seed=5))
 corr = cli.correctness(pool)
 cands = cli.enumerate_teams(pool.num_models)
-for kind, threads in (("soft", 1), ("boosting", 2)):
+for kind, threads in (("soft", 1), ("boosting", 2), ("majority", 1), ("plurality", 2)):
     cli.evaluate_teams(cands, pool, corr, cli.ConsensusMethod(kind), threads=threads)
 by_id = {s["id"]: s for s in t.spans}
 def ancestors(span):
@@ -153,5 +153,6 @@ def test_tracer_spans_one_vote_per_candidate_under_evaluate_teams():
     got = json.loads(proc.stdout)
     k = got["candidates"]
     assert k == 11
-    # soft on 1 thread, then boosting on 2: every vote span nests in its call
-    assert got == {"candidates": k, "predicts": 2 * k, "per_call": [k, k]}
+    # soft and majority on 1 thread, boosting and plurality on 2: every
+    # method votes through the spanned predict, nested in its call
+    assert got == {"candidates": k, "predicts": 4 * k, "per_call": [k, k, k, k]}

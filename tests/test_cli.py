@@ -470,6 +470,34 @@ def test_focal_needs_focal_sampling(pool_dir, capsys):
         assert "focal" in _one_error_line(capsys)
 
 
+def test_diversity_team_refuses_team_size(pool_dir, capsys):
+    # --team scores one team; a size filter on the enumeration would be ignored
+    argv = ["diversity", "--pool", str(pool_dir / "manifest.json"), "--team", "012"]
+    assert main(argv + ["--team-size", "2"]) == 1
+    assert "--team-size" in _one_error_line(capsys)
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command, kind", [("consensus", "soft"), ("report", "majority"),
+                                           ("recommend", "plurality"), ("query", "soft")])
+def test_train_indices_need_boosting(pool_dir, tmp_path, capsys, command, kind):
+    # refused before the file is opened, so a missing path shows the flag rule
+    manifest = str(pool_dir / "manifest.json")
+    selected = tmp_path / "sel.json"
+    selected.write_text(json.dumps({"method": "x", "pool_size": 5,
+                                    "num_candidates": 26, "teams": ["01"]}))
+    argv = {"consensus": ["consensus", "--pool", manifest, "--team", "01", "--method", kind],
+            "report": ["report", "--pool", manifest, "--in", str(selected),
+                       "--consensus", kind],
+            "recommend": ["recommend", "--pool", manifest, "--method", "q",
+                          "--consensus", kind],
+            "query": ["query", "--pool", manifest, "--team", "012", "--consensus", kind],
+            }[command]
+    assert main(argv + ["--train-indices", str(tmp_path / "missing.txt")]) == 1
+    err = _one_error_line(capsys)
+    assert err == f"error: --train-indices needs boosting consensus, not {kind}"
+
+
 def test_diversity_context_names_focal_and_seed(pool_dir, capsys):
     manifest = pool_dir / "manifest.json"
     neg = build_negative_set(correctness(load_pool(manifest)), "focal",

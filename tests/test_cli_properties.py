@@ -17,14 +17,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from divsel.cli import main
-from divsel.consensus import (DEFAULT_GAMMA, METHODS, ConsensusMethod, boosting_vote,
-                              boosting_weights)
+from divsel.consensus import DEFAULT_GAMMA, METHODS, ConsensusMethod, predict
 from divsel.evaluation import evaluate_teams, summarize
 from divsel.pool import correctness, load_pool
 from divsel.report import set_report_to_dict
 from divsel.teaming import CandidateSet, enumerate_teams, parse_team
 
-from oracles import o_boosting_weights
+from oracles import o_boosting_vote, o_boosting_weights
 
 PROPERTY_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -131,20 +130,19 @@ def test_recommend_selected_set_matches_independent_evaluation(pool5, kind, thre
 
 
 def test_boosting_vote_same_with_walked_weights(pool5):
-    """Closed-form and walked boosting weights vote alike on every candidate."""
+    """Closed-form boosting weights vote as walked weights do on every candidate."""
     pool = pool5["pool"]
     preds = [m.pred_labels.tolist() for m in pool.models]
     labels = pool.labels.tolist()
     fixture_train = np.loadtxt(pool5["train"], dtype=np.int64)
     for train in (fixture_train, None):
+        method = ConsensusMethod("boosting", train_indices=train)
         walk_train = range(pool.num_samples) if train is None else train.tolist()
         for t in enumerate_teams(5):
             walked = o_boosting_weights([preds[i] for i in t.members], labels, walk_train,
                                         DEFAULT_GAMMA)
-            closed = boosting_weights(t, pool, train_indices=train)
-            np.testing.assert_array_equal(
-                boosting_vote(t, pool, closed).labels,
-                boosting_vote(t, pool, np.array(walked)).labels)
+            probs = [pool.models[i].probs.tolist() for i in t.members]
+            assert predict(t, pool, method).labels.tolist() == o_boosting_vote(probs, walked)
 
 
 # ---------------------------------------------------------------- fuzz

@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsel.consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction,
-                              boosting_vote, boosting_weights, ensemble_accuracy,
-                              majority_vote, plurality_vote, predict, soft_vote)
+                              boosting_weights, ensemble_accuracy, predict)
 from divsel.errors import CapabilityError, DivselError
 from divsel.teaming import team
 
 from conftest import pool_from_correctness, pool_from_probs
 from oracles import o_boosting_weights
+
+SOFT = ConsensusMethod("soft")
+MAJORITY = ConsensusMethod("majority")
+PLURALITY = ConsensusMethod("plurality")
 
 
 def votes_pool(vote_rows, num_classes):
@@ -27,7 +32,7 @@ def votes_pool(vote_rows, num_classes):
 
 def test_soft_vote_averages_probabilities():
     pool = pool_from_probs([1], [[[0.6, 0.4]], [[0.2, 0.8]]], num_classes=2)
-    pred = soft_vote(team(0, 1), pool)
+    pred = predict(team(0, 1), pool, SOFT)
     np.testing.assert_allclose(pred.probs[0], [0.4, 0.6])
     assert pred.labels[0] == 1
 
@@ -38,13 +43,13 @@ def test_soft_vote_identical_members_match_single_model():
     probs /= probs.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 5, 40)
     pool = pool_from_probs(labels, [probs, probs.copy(), probs.copy()], num_classes=5)
-    pred = soft_vote(team(0, 1, 2), pool)
+    pred = predict(team(0, 1, 2), pool, SOFT)
     np.testing.assert_array_equal(pred.labels, pool.models[0].pred_labels)
 
 
 def test_soft_vote_tie_breaks_to_lowest_class():
     pool = pool_from_probs([0], [[[0.5, 0.5]], [[0.5, 0.5]]], num_classes=2)
-    assert soft_vote(team(0, 1), pool).labels[0] == 0
+    assert predict(team(0, 1), pool, SOFT).labels[0] == 0
 
 
 def test_soft_vote_rows_sum_to_one():
@@ -55,32 +60,41 @@ def test_soft_vote_rows_sum_to_one():
         p /= p.sum(axis=1, keepdims=True)
         mats.append(p)
     pool = pool_from_probs(rng.integers(0, 4, 30), mats, num_classes=4)
-    pred = soft_vote(team(0, 1, 2), pool)
+    pred = predict(team(0, 1, 2), pool, SOFT)
     np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_soft_vote_capability_error_without_probs():
     pool = pool_from_correctness([[1, 0, 1], [0, 1, 1]])
-    with pytest.raises(CapabilityError, match="probabilit"):
-        soft_vote(team(0, 1), pool)
+    with pytest.raises(CapabilityError, match="^soft voting needs prediction probabilit"):
+        predict(team(0, 1), pool, SOFT)
+
+
+def test_boosting_checks_capability_before_train_indices():
+    # gamma is checked when the method is built, then capability, then indices
+    with pytest.raises(DivselError, match="penalty"):
+        ConsensusMethod("boosting", gamma=0.0, train_indices=[99])
+    pool = pool_from_correctness([[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(CapabilityError, match="^boosting voting needs prediction probabilit"):
+        predict(team(0, 1), pool, ConsensusMethod("boosting", train_indices=[99]))
 
 
 # -------------------------------------------------- majority and plurality
 
 def test_majority_vote_cases():
     pool = votes_pool([[1], [1], [2]], num_classes=3)
-    assert majority_vote(team(0, 1, 2), pool).labels[0] == 1
+    assert predict(team(0, 1, 2), pool, MAJORITY).labels[0] == 1
     pool = votes_pool([[0], [1], [2]], num_classes=3)
-    assert majority_vote(team(0, 1, 2), pool).labels[0] == ABSTAIN
+    assert predict(team(0, 1, 2), pool, MAJORITY).labels[0] == ABSTAIN
     pool = votes_pool([[0], [0], [1], [1]], num_classes=2)
-    assert majority_vote(team(0, 1, 2, 3), pool).labels[0] == ABSTAIN
+    assert predict(team(0, 1, 2, 3), pool, MAJORITY).labels[0] == ABSTAIN
 
 
 def test_plurality_vote_cases():
     pool = votes_pool([[0], [1], [2]], num_classes=3)
-    assert plurality_vote(team(0, 1, 2), pool).labels[0] == 0  # 3-way tie
+    assert predict(team(0, 1, 2), pool, PLURALITY).labels[0] == 0  # 3-way tie
     pool = votes_pool([[1], [1], [2]], num_classes=3)
-    assert plurality_vote(team(0, 1, 2), pool).labels[0] == 1
+    assert predict(team(0, 1, 2), pool, PLURALITY).labels[0] == 1
 
 
 def test_majority_implies_plurality_agreement():
@@ -89,8 +103,8 @@ def test_majority_implies_plurality_agreement():
         rows = rng.integers(0, 6, size=(s, 4000))
         pool = votes_pool(rows, num_classes=6)
         t = team(*range(s))
-        maj = majority_vote(t, pool).labels
-        plu = plurality_vote(t, pool).labels
+        maj = predict(t, pool, MAJORITY).labels
+        plu = predict(t, pool, PLURALITY).labels
         decided = maj != ABSTAIN
         np.testing.assert_array_equal(maj[decided], plu[decided])
 
@@ -221,35 +235,44 @@ def test_boosting_vote_uniform_weights_equal_soft_vote():
     mats = []
     for _ in range(4):
         p = rng.random((100, 5)) + 0.02
+        p[np.arange(30), labels[:30]] += 1.0  # every member right on the first 30
         p /= p.sum(axis=1, keepdims=True)
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=5)
     t = team(0, 1, 2, 3)
-    uniform = np.full(4, 0.25)
-    np.testing.assert_array_equal(boosting_vote(t, pool, uniform).labels,
-                                  soft_vote(t, pool).labels)
+    # no member errs on the training samples, so every weight is exactly 1/4
+    right = np.flatnonzero(np.all([m.pred_labels == labels for m in pool.models], axis=0))
+    assert right.size >= 30
+    np.testing.assert_array_equal(boosting_weights(t, pool, right), np.full(4, 0.25))
+    boosted = predict(t, pool, ConsensusMethod("boosting", train_indices=right))
+    soft = predict(t, pool, SOFT)
+    np.testing.assert_array_equal(boosted.labels, soft.labels)
+    np.testing.assert_array_equal(boosted.probs, soft.probs)
 
 
 def test_boosting_vote_degenerate_weights_follow_single_member():
+    # member 0 is right on both samples and member 1 wrong on both: at this
+    # gamma e^(2 * gamma) underflows, so the weights are exactly [1, 0]
     pool = pool_from_probs([0, 1], [[[0.6, 0.4], [0.3, 0.7]],
                                     [[0.2, 0.8], [0.9, 0.1]]], num_classes=2)
-    w = np.array([1.0, 0.0])
-    pred = boosting_vote(team(0, 1), pool, w)
+    method = ConsensusMethod("boosting", gamma=-1000.0)
+    np.testing.assert_array_equal(boosting_weights(team(0, 1), pool, gamma=method.gamma),
+                                  [1.0, 0.0])
+    pred = predict(team(0, 1), pool, method)
     np.testing.assert_array_equal(pred.labels, pool.models[0].pred_labels)
 
 
 def test_boosting_vote_hand_value():
-    pool = pool_from_probs([1], [[[0.6, 0.4]], [[0.2, 0.8]]], num_classes=2)
-    w = np.array([0.7, 0.3])
-    pred = boosting_vote(team(0, 1), pool, w)
+    # sample 0 is voted on; on sample 1, the only training sample, member 1
+    # errs once more than member 0, so gamma = ln(3/7) gives weights [0.7, 0.3]
+    pool = pool_from_probs([1, 0], [[[0.6, 0.4], [0.9, 0.1]],
+                                    [[0.2, 0.8], [0.1, 0.9]]], num_classes=2)
+    method = ConsensusMethod("boosting", gamma=math.log(3 / 7), train_indices=[1])
+    w = boosting_weights(team(0, 1), pool, method.train_indices, method.gamma)
+    np.testing.assert_allclose(w, [0.7, 0.3], rtol=0, atol=1e-15)
+    pred = predict(team(0, 1), pool, method)
     assert pred.labels[0] == 1  # combined mass proportional to [0.48, 0.52]
     np.testing.assert_allclose(pred.probs[0], [0.48, 0.52])
-
-
-def test_boosting_vote_needs_one_weight_per_member():
-    pool = pool_from_probs([1], [[[0.6, 0.4]], [[0.2, 0.8]]], num_classes=2)
-    with pytest.raises(DivselError, match="got 3 weights for a team of 2"):
-        boosting_vote(team(0, 1), pool, np.full(3, 1 / 3))
 
 
 def test_boosting_vote_scale_invariant_argmax():
@@ -262,8 +285,10 @@ def test_boosting_vote_scale_invariant_argmax():
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=3)
     t = team(0, 1, 2)
-    w = np.array([0.5, 0.3, 0.2])
-    base = boosting_vote(t, pool, w).labels
+    method = ConsensusMethod("boosting", gamma=-0.2)
+    w = boosting_weights(t, pool, gamma=method.gamma)
+    assert len(set(w.tolist())) == 3
+    base = predict(t, pool, method).labels
     # scaling all weights by a positive constant cannot move any argmax
     probs = [pool.models[i].probs for i in t.members]
     for scale in (0.1, 3.0, 250.0):
@@ -291,10 +316,15 @@ def test_predict_dispatch():
         assert pred.labels.shape == (2,)
 
 
-def test_consensus_method_equality_with_array_train_indices():
-    a = ConsensusMethod("boosting", train_indices=np.array([3, 1, 2]))
-    b = ConsensusMethod("boosting", train_indices=[3, 1, 2])
-    assert a == b and hash(a) == hash(b)
-    assert a.train_indices == (3, 1, 2)
-    assert a != ConsensusMethod("boosting", train_indices=np.array([1, 2, 3]))
+def test_consensus_method_keeps_train_indices_as_read_only_int64_copy():
+    given = np.array([3, 1, 2])
+    stored = ConsensusMethod("boosting", train_indices=given).train_indices
+    assert stored.dtype == np.int64 and not stored.flags.writeable
+    np.testing.assert_array_equal(stored, [3, 1, 2])
+    assert not np.shares_memory(stored, given)
+    given[0] = 0
+    assert stored[0] == 3
+    from_list = ConsensusMethod("boosting", train_indices=[3, 1, 2]).train_indices
+    assert from_list.dtype == np.int64
+    np.testing.assert_array_equal(from_list, [3, 1, 2])
     assert ConsensusMethod("soft").train_indices is None
