@@ -10,8 +10,7 @@ method, and report aggregate quality statistics.
 from .consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction, boosting_weights,
                         ensemble_accuracy, predict)
 from .diversity import (MetricId, agreement_counts, binary_disagreement, cohens_kappa,
-                        diversity_score, fleiss_kappa, generalized_diversity,
-                        kw_variance, pairwise_average, q_statistics)
+                        diversity_score, pairwise_average, q_statistics)
 from .errors import (CapabilityError, DivselError, EmptyNegativesError, PoolError,
                      RuleCoverageError, SynthConfigError, TeamLimitError)
 from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_teams

@@ -12,14 +12,15 @@ agreement-style metrics ck, qs and fk are kept as-is.
 
 ``raw_score(metric, omega_neg, members)`` scores the rows of a K×M boolean
 membership matrix, one team each, on one negative set's correctness block.
-A faster kernel in its place must return bit-identical values: rule learning
+Team metrics are computed for a whole block of same-size teams at once from
+per-sample correct counts; pairwise metrics are still scored team by team.
+Every value must equal the one-team closed form bit for bit: rule learning
 splits at 2-means midpoints that can sit one rounding step from a score.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -53,14 +54,18 @@ class MetricId(str, Enum):
         return self in (MetricId.BD, MetricId.KW, MetricId.GD)
 
 
-def _checked(rows) -> np.ndarray:
-    """Team correctness rows as int64, with at least two members and one sample."""
-    rows = np.asarray(rows, dtype=np.int64)
-    s, n = rows.shape
+def _check_shape(s: int, n: int) -> None:
+    """Refuse a team of fewer than two members or a block of no samples."""
     if s < 2:
         raise ValueError(f"need at least 2 rows, got {s}")
     if n == 0:
         raise ValueError("empty correctness vectors")
+
+
+def _checked(rows) -> np.ndarray:
+    """Team correctness rows as int64, with at least two members and one sample."""
+    rows = np.asarray(rows, dtype=np.int64)
+    _check_shape(*rows.shape)
     return rows
 
 
@@ -116,30 +121,24 @@ def pairwise_average(metric: MetricId, rows: np.ndarray) -> float:
     return float(np.mean(_PAIR_FUNCS[metric](*agreement_counts(rows))))
 
 
-def _label_counts(rows: np.ndarray) -> tuple[int, int, np.ndarray]:
-    rows = _checked(rows)
-    s, n = rows.shape
-    return s, n, rows.sum(axis=0)
+def _disagreeing_pairs(correct, s: int) -> np.ndarray:
+    """Σ C·(s−C) of each row of per-sample correct counts, as exact int64."""
+    return (correct * (s - correct)).sum(axis=1, dtype=np.int64)
 
 
-def fleiss_kappa(rows: np.ndarray) -> float:
+def _fleiss_kappa(correct, s: int, n: int) -> np.ndarray:
     """Team-level chance-corrected agreement; 1 when behaviour is unanimous."""
-    s, n, correct = _label_counts(rows)
-    p_bar = correct.sum() / (n * s)
+    p_bar = correct.sum(axis=1, dtype=np.int64) / (n * s)
     chance = n * (s - 1) * p_bar * (1.0 - p_bar)
-    if chance == 0.0:
-        return 1.0
-    disagreement = float((correct * (s - correct)).sum()) / s
-    return 1.0 - disagreement / chance
+    return 1.0 - _ratio(_disagreeing_pairs(correct, s) / s, chance)
 
 
-def kw_variance(rows: np.ndarray) -> float:
+def _kw_variance(correct, s: int, n: int) -> np.ndarray:
     """Variability of per-sample correctness across the team, in [0, 0.25]."""
-    s, n, correct = _label_counts(rows)
-    return float((correct * (s - correct)).sum()) / (n * s * s)
+    return _disagreeing_pairs(correct, s) / (n * s * s)
 
 
-def generalized_diversity(rows: np.ndarray) -> float:
+def _generalized_diversity(correct, s: int, n: int) -> np.ndarray:
     """One minus the two-model joint-failure rate over the single-failure rate.
 
     Failure counts per sample give the empirical distribution p_i of
@@ -147,30 +146,45 @@ def generalized_diversity(rows: np.ndarray) -> float:
     or no two members ever fail together, 0 when failures always strike
     the whole team in lockstep.
     """
-    s, n, correct = _label_counts(rows)
     failures = s - correct
-    counts = np.bincount(failures, minlength=s + 1)
-    p = counts / n
+    p = np.stack([np.count_nonzero(failures == i, axis=1) for i in range(s + 1)],
+                 axis=1) / n
     i = np.arange(s + 1)
-    p1 = float((i / s * p).sum())
-    if p1 == 0.0:
-        return 1.0
-    p2 = float((i * (i - 1) / (s * (s - 1)) * p).sum())
-    return 1.0 - p2 / p1
+    # each row is summed on its own contiguous memory, in the pairwise order
+    # np.sum gives one team's row
+    p1 = np.ascontiguousarray(i / s * p).sum(axis=1)
+    p2 = np.ascontiguousarray(i * (i - 1) / (s * (s - 1)) * p).sum(axis=1)
+    return 1.0 - _ratio(p2, p1)
 
 
-_TEAM_FUNCS = {
-    MetricId.FK: fleiss_kappa,
-    MetricId.KW: kw_variance,
-    MetricId.GD: generalized_diversity,
+_TEAM_FORMS = {
+    MetricId.FK: _fleiss_kappa,
+    MetricId.KW: _kw_variance,
+    MetricId.GD: _generalized_diversity,
 }
 
 
 def raw_score(metric: MetricId, omega_neg: np.ndarray, members) -> np.ndarray:
     """Raw values of the teams ``omega_neg[members[k]]``: ``omega_neg`` is one
-    negative set's M×n correctness block, ``members`` a K×M boolean matrix."""
-    score = partial(pairwise_average, metric) if metric.pairwise else _TEAM_FUNCS[metric]
-    return np.array([score(omega_neg[row]) for row in np.asarray(members, dtype=bool)])
+    negative set's M×n correctness block, ``members`` a K×M boolean matrix.
+
+    Team metrics are scored one size block at a time: ``C = members[block] @
+    omega_neg`` counts, per sample, the members that got it right, in the
+    narrowest dtype that holds s², so no count or product C·(s−C) wraps.
+    """
+    members = np.asarray(members, dtype=bool)
+    if metric.pairwise:
+        return np.array([pairwise_average(metric, omega_neg[row]) for row in members])
+    n = omega_neg.shape[1]
+    sizes = members.sum(axis=1)
+    scores = np.empty(len(members))
+    for s in sorted(set(sizes.tolist())):  # np.unique imports numpy.ma: 1.6 MB resident
+        _check_shape(s, n)
+        block = sizes == s
+        dtype = np.min_scalar_type(s * s)
+        correct = members[block].astype(dtype) @ omega_neg.astype(dtype, copy=False)
+        scores[block] = _TEAM_FORMS[metric](correct, s, n)
+    return scores
 
 
 def normalize(metric: MetricId, raw):

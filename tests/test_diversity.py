@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsel.diversity import (MetricId, agreement_counts, binary_disagreement,
-                              cohens_kappa, diversity_score, fleiss_kappa,
-                              generalized_diversity, kw_variance, normalize,
-                              pairwise_average, q_statistics, raw_score)
+                              cohens_kappa, diversity_score, normalize, pairwise_average,
+                              q_statistics, raw_score)
 from divsel.errors import EmptyNegativesError
-from divsel.pool import CorrectnessMatrix
-from divsel.sampling import sample_subset
-from divsel.teaming import CandidateSet, team
+from divsel.pool import CorrectnessMatrix, correctness
+from divsel.sampling import focal_negative_sets, sample_subset
+from divsel.selection import FocalScoreTable
+from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
+from divsel.teaming import CandidateSet, enumerate_teams, team
 
 from conftest import FIXTURE_WI, FIXTURE_WJ, team_score
 from oracles import o_normalized, o_pair_counts, o_raw
@@ -110,43 +111,121 @@ def test_pairwise_average_matches_pair_loop_oracle():
 
 # ---------------------------------------------------- non-pairwise metrics
 
+# Slow reference: the one-team closed forms, summing one team's rows at a time.
+# The batch kernel in raw_score must equal them bit for bit.
+
+def _label_counts(rows: np.ndarray) -> tuple[int, int, np.ndarray]:
+    rows = np.asarray(rows, dtype=np.int64)
+    s, n = rows.shape
+    return s, n, rows.sum(axis=0)
+
+
+def fleiss_kappa(rows: np.ndarray) -> float:
+    s, n, correct = _label_counts(rows)
+    p_bar = correct.sum() / (n * s)
+    chance = n * (s - 1) * p_bar * (1.0 - p_bar)
+    if chance == 0.0:
+        return 1.0
+    disagreement = float((correct * (s - correct)).sum()) / s
+    return 1.0 - disagreement / chance
+
+
+def kw_variance(rows: np.ndarray) -> float:
+    s, n, correct = _label_counts(rows)
+    return float((correct * (s - correct)).sum()) / (n * s * s)
+
+
+def generalized_diversity(rows: np.ndarray) -> float:
+    s, n, correct = _label_counts(rows)
+    failures = s - correct
+    counts = np.bincount(failures, minlength=s + 1)
+    p = counts / n
+    i = np.arange(s + 1)
+    p1 = float((i / s * p).sum())
+    if p1 == 0.0:
+        return 1.0
+    p2 = float((i * (i - 1) / (s * (s - 1)) * p).sum())
+    return 1.0 - p2 / p1
+
+
+REFERENCE = {MetricId.FK: fleiss_kappa, MetricId.KW: kw_variance,
+             MetricId.GD: generalized_diversity}
+
+
+def reference_score(metric, rows):
+    return (pairwise_average(metric, rows) if metric.pairwise
+            else REFERENCE[metric](rows))
+
+
 def test_fleiss_kappa_fixture():
     rows = np.array([FIXTURE_WI, FIXTURE_WJ])
     expected = 1.0 - 1.5 / (10 * 1 * 0.65 * 0.35)
-    assert fleiss_kappa(rows) == pytest.approx(expected)
-    assert fleiss_kappa(rows) == pytest.approx(0.34066, abs=1e-5)
+    assert team_score(MetricId.FK, rows) == pytest.approx(expected)
+    assert team_score(MetricId.FK, rows) == pytest.approx(0.34066, abs=1e-5)
 
 
 def test_fleiss_kappa_degenerate_returns_one():
-    assert fleiss_kappa(np.ones((3, 5), dtype=np.uint8)) == 1.0
-    assert fleiss_kappa(np.zeros((3, 5), dtype=np.uint8)) == 1.0
+    assert team_score(MetricId.FK, np.ones((3, 5), dtype=np.uint8)) == 1.0
+    assert team_score(MetricId.FK, np.zeros((3, 5), dtype=np.uint8)) == 1.0
 
 
 def test_fleiss_kappa_differs_from_averaged_cohens_kappa():
     rows = np.array([FIXTURE_WI, FIXTURE_WJ])
-    fk = fleiss_kappa(rows)
+    fk = team_score(MetricId.FK, rows)
     ck = pairwise_average(MetricId.CK, rows)
     assert abs(fk - ck) > 0.01
 
 
 def test_kw_variance_values():
     rows = np.array([FIXTURE_WI, FIXTURE_WJ])
-    assert kw_variance(rows) == pytest.approx(0.075)
+    assert team_score(MetricId.KW, rows) == pytest.approx(0.075)
     same = np.array([[1, 0, 1], [1, 0, 1]])
-    assert kw_variance(same) == 0.0
+    assert team_score(MetricId.KW, same) == 0.0
     flip = np.array([[1, 0, 1, 0], [0, 1, 0, 1]])
-    assert kw_variance(flip) == pytest.approx(0.25)
+    assert team_score(MetricId.KW, flip) == pytest.approx(0.25)
 
 
 def test_generalized_diversity_values():
     rows = np.array([FIXTURE_WI, FIXTURE_WJ])
-    assert generalized_diversity(rows) == pytest.approx(1 - 0.2 / 0.35)
+    assert team_score(MetricId.GD, rows) == pytest.approx(1 - 0.2 / 0.35)
     # two models never failing together
     never = np.array([[1, 0, 1, 1], [1, 1, 0, 1]])
-    assert generalized_diversity(never) == 1.0
+    assert team_score(MetricId.GD, never) == 1.0
     # identical rows with failures fail in lockstep
     same = np.array([[1, 0, 1, 0], [1, 0, 1, 0]])
-    assert generalized_diversity(same) == 0.0
+    assert team_score(MetricId.GD, same) == 0.0
+
+
+@pytest.mark.parametrize("metric", [MetricId.FK, MetricId.KW, MetricId.GD])
+def test_team_metric_refuses_single_member_team(metric):
+    block = np.ones((3, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="need at least 2 rows, got 1"):
+        raw_score(metric, block, np.array([[True, True, False], [False, True, False]]))
+
+
+@pytest.mark.parametrize("metric", [MetricId.FK, MetricId.KW, MetricId.GD])
+def test_team_metric_refuses_empty_block(metric):
+    block = np.ones((3, 0), dtype=np.uint8)
+    with pytest.raises(ValueError, match="empty correctness vectors"):
+        raw_score(metric, block, np.array([[True, True, False]]))
+
+
+def test_focal_score_table_team_metrics_equal_reference():
+    cfg = SynthConfig(num_models=8, num_samples=1500, num_classes=10,
+                      accuracies=(0.95, 0.92, 0.9, 0.88, 0.86, 0.84, 0.8, 0.75),
+                      groups=(CorrelationGroup((0, 1), 0.8), CorrelationGroup((4, 5, 6), 0.8)),
+                      seed=11)
+    corr = correctness(generate_pool(cfg))
+    cands = enumerate_teams(8)
+    neg_sets = focal_negative_sets(corr, 100, 11)
+    for metric in REFERENCE:
+        expected = np.full(cands.members.shape, np.nan)
+        for f, neg in neg_sets.items():
+            for k in np.flatnonzero(cands.members[:, f]):
+                expected[k, f] = normalize(
+                    metric, REFERENCE[metric](corr.omega[cands.members[k]][:, neg]))
+        table = FocalScoreTable(metric, cands, corr, neg_sets)
+        assert np.array_equal(table.scores, expected, equal_nan=True), metric
 
 
 # ------------------------------------------------------------- properties
@@ -169,8 +248,8 @@ def test_oracle_equivalence_200_instances():
 
 @st.composite
 def team_rows(draw):
-    """Correctness rows of a team of 2-12, random or degenerate."""
-    s = draw(st.integers(2, 12))
+    """Correctness rows of a team of 2-16, random or degenerate."""
+    s = draw(st.integers(2, 16))
     n = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["random", "all correct", "all wrong", "identical"]))
     bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
@@ -183,17 +262,20 @@ def team_rows(draw):
 
 @st.composite
 def teams_on_block(draw):
-    """One correctness block of 2-12 models and 1-6 teams of mixed sizes on it,
-    as membership rows; the first team is the whole block."""
+    """One correctness block of 2-16 models and 0-9 teams of mixed sizes on it,
+    as membership rows in shuffled order, some of them duplicates; one team
+    is the whole block unless there are none."""
     rows = draw(team_rows())
+    if draw(st.integers(0, 9)) == 0:
+        return rows, []
     subsets = draw(st.lists(st.sets(st.integers(0, len(rows) - 1), min_size=2),
                             max_size=5))
-    return rows, [[True] * len(rows)] + [[f in s for f in range(len(rows))]
-                                         for s in subsets]
+    teams = [[True] * len(rows)] + [[f in s for f in range(len(rows))] for s in subsets]
+    teams += draw(st.lists(st.sampled_from(teams), max_size=3))
+    return rows, draw(st.permutations(teams))
 
 
-CLOSED_FORMS = {MetricId.FK: fleiss_kappa, MetricId.KW: kw_variance,
-                MetricId.GD: generalized_diversity}
+_BIG = np.random.default_rng(40).integers(0, 2, size=(40, 50))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -204,19 +286,21 @@ CLOSED_FORMS = {MetricId.FK: fleiss_kappa, MetricId.KW: kw_variance,
 @example(case=([[1, 0, 1]] * 12, [[True] * 12]))
 @example(case=([[1, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 1]],
                [[True] * 3, [True, True, False], [False, True, True], [True, False, True]]))
+@example(case=([[1, 0, 1]] * 3, []))
+# a 40-member team: counts and products C·(40−C) outgrow uint8
+@example(case=(_BIG.tolist(), [[True] * 20 + [False] * 20, [True] * 40,
+                               [True, False] * 20, [True] * 40]))
 def test_raw_score_matches_oracle(case):
     rows, teams = case
     block = np.array(rows, dtype=np.uint8)
-    members = np.array(teams, dtype=bool)
+    members = np.array(teams, dtype=bool).reshape(-1, len(rows))
     for metric in MetricId:
         scores = raw_score(metric, block, members)
         assert scores.shape == (len(teams),)
         for score, row in zip(scores, members):
             assert score == pytest.approx(o_raw(metric.value, block[row].tolist()),
                                           abs=TOL), metric
-            closed = (pairwise_average(metric, block[row]) if metric.pairwise
-                      else CLOSED_FORMS[metric](block[row]))
-            assert score == closed, metric
+            assert score == reference_score(metric, block[row]), metric
 
 
 def test_pairwise_symmetry():
