@@ -22,6 +22,6 @@ from .selection import (FocalScoreTable, SelectedSet, SelectionRule, eq_fuse,
                         fq_select, learn_fq_rules, load_rules, q_select, save_rules,
                         two_means_split)
 from .synth import SynthConfig, generate_pool
-from .teaming import CandidateSet, EnsembleTeam, enumerate_teams, parse_team, team
+from .teaming import CandidateSet, EnsembleTeam, enumerate_teams, parse_team
 
 __version__ = "0.1.0"

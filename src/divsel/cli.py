@@ -204,34 +204,21 @@ def cmd_consensus(args) -> int:
     return 0
 
 
-def _evaluate_reports(cands: CandidateSet, selected: SelectedSet, pool: PredictionPool,
-                      corr: CorrectnessMatrix, method: ConsensusMethod, threads: int,
-                      candidate_count: int) -> list[SetReport]:
+def _evaluate_reports(selected: SelectedSet, pool: PredictionPool, corr: CorrectnessMatrix,
+                      method: ConsensusMethod, threads: int) -> list[SetReport]:
     """Baseline and selected-set reports from one evaluation of every candidate."""
-    if selected.pool_size != cands.pool_size:
-        raise DivselError(f"selected set is for a pool of {selected.pool_size} models, "
-                          f"but the pool has {cands.pool_size}")
-    if selected.candidate_count > len(cands):
-        raise DivselError(f"selected set counts {selected.candidate_count} candidates, "
-                          f"but the pool has {len(cands)}")
-    position = {t: i for i, t in enumerate(cands.teams)}
-    foreign = [t.key for t in selected.teams if t not in position]
-    if foreign:
-        raise DivselError(f"selected team {foreign[0]} is not a candidate of this pool")
-    evals = evaluate_teams(cands, pool, corr, method, threads=threads)
+    evals = evaluate_teams(selected.cands, pool, corr, method, threads=threads)
     p_max = float(corr.accuracies.max())
-    return [summarize("baseline", evals, len(cands), p_max),
-            summarize(selected.method, [evals[position[t]] for t in selected.teams],
-                      candidate_count, p_max)]
+    return [summarize("baseline", evals, len(selected.cands), p_max),
+            summarize(selected.method, [evals[r] for r in selected.rows],
+                      selected.candidate_count, p_max)]
 
 
 def cmd_report(args) -> int:
     pool, corr = _load(args)
-    selected = rpt.load_selected_set(getattr(args, "in"))
+    selected = rpt.load_selected_set(getattr(args, "in"), enumerate_teams(pool.num_models))
     method = _consensus_method(args)
-    cands = enumerate_teams(pool.num_models)
-    _emit_reports(_evaluate_reports(cands, selected, pool, corr, method, args.threads,
-                                    selected.candidate_count), args)
+    _emit_reports(_evaluate_reports(selected, pool, corr, method, args.threads), args)
     return 0
 
 
@@ -252,8 +239,7 @@ def cmd_recommend(args) -> int:
     cands = enumerate_teams(pool.num_models, args.team_size)
     selected, _rules = _select(args, cands, corr)
     method = _consensus_method(args)
-    reports = _evaluate_reports(cands, selected, pool, corr, method, args.threads,
-                                len(cands))
+    reports = _evaluate_reports(selected, pool, corr, method, args.threads)
     extra = {
         "dataset": pool.dataset_name,
         "pool_size": pool.num_models,

@@ -18,7 +18,7 @@ from .errors import DivselError
 from .evaluation import SetReport
 from .pool import NUMBER, json_typed
 from .selection import SelectedSet
-from .teaming import parse_team
+from .teaming import CandidateSet, parse_team
 
 CSV_COLUMNS = [
     "method", "num_candidates", "num_selected",
@@ -91,33 +91,45 @@ def team_evaluations_to_dicts(evals) -> list[dict]:
 def selected_set_to_dict(selected: SelectedSet) -> dict:
     return {
         "method": selected.method,
-        "pool_size": selected.pool_size,
+        "pool_size": selected.cands.pool_size,
         "num_candidates": selected.candidate_count,
         "teams": [t.key for t in selected.teams],
         "scores": list(selected.scores),
     }
 
 
-def selected_set_from_dict(data: dict) -> SelectedSet:
+def selected_set_from_dict(data: dict, cands: CandidateSet) -> SelectedSet:
+    """The selected set ``data`` describes, as rows of ``cands`` in the file's team
+    order; ValueError when malformed, DivselError when it does not fit ``cands``."""
     json_typed(data, dict, "a selected set")
-    teams = tuple(parse_team(json_typed(k, str, "a team"))
-                  for k in json_typed(data["teams"], list, "'teams'"))
+    teams = [parse_team(json_typed(k, str, "a team"))
+             for k in json_typed(data["teams"], list, "'teams'")]
     scores = data.get("scores")
     if scores is None:
         scores = [0.0] * len(teams)
-    return SelectedSet(
-        method=json_typed(data["method"], str, "'method'"),
-        teams=teams,
-        scores=tuple(float(json_typed(s, NUMBER, "a score"))
-                     for s in json_typed(scores, list, "'scores'")),
-        pool_size=json_typed(data["pool_size"], int, "'pool_size'"),
-        candidate_count=json_typed(data["num_candidates"], int, "'num_candidates'"),
-    )
+    method = json_typed(data["method"], str, "'method'")
+    scores = tuple(float(json_typed(s, NUMBER, "a score"))
+                   for s in json_typed(scores, list, "'scores'"))
+    pool_size = json_typed(data["pool_size"], int, "'pool_size'")
+    count = json_typed(data["num_candidates"], int, "'num_candidates'")
+    if pool_size != cands.pool_size:
+        raise DivselError(f"selected set is for a pool of {pool_size} models, "
+                          f"but the pool has {cands.pool_size}")
+    if count > len(cands):
+        raise DivselError(f"selected set counts {count} candidates, "
+                          f"but the pool has {len(cands)}")
+    row_of = {t: k for k, t in enumerate(cands.teams)}
+    foreign = [t.key for t in teams if t not in row_of]
+    if foreign:
+        raise DivselError(f"selected team {foreign[0]} is not a candidate of this pool")
+    return SelectedSet(method=method, cands=cands, rows=tuple(row_of[t] for t in teams),
+                       scores=scores, candidate_count=count)
 
 
-def load_selected_set(path: str | Path) -> SelectedSet:
+def load_selected_set(path: str | Path, cands: CandidateSet) -> SelectedSet:
+    """Read a selected-set JSON file as rows of ``cands``, the pool's candidates."""
     try:
-        return selected_set_from_dict(json.loads(Path(path).read_text()))
+        return selected_set_from_dict(json.loads(Path(path).read_text()), cands)
     except (KeyError, OverflowError, ValueError) as exc:
         raise DivselError(f"malformed selected-set JSON {path}: {exc}") from exc
 

@@ -55,28 +55,29 @@ class SelectionRule:
 
 @dataclass(frozen=True)
 class SelectedSet:
-    """Teams surviving a selection method, with their recorded scores."""
+    """Rows of ``cands`` kept by a selection method, with their recorded scores;
+    ``candidate_count`` is the number of candidates the method chose from."""
 
     method: str
-    teams: tuple[EnsembleTeam, ...]
+    cands: CandidateSet
+    rows: tuple[int, ...]
     scores: tuple[float, ...]
-    pool_size: int
     candidate_count: int
 
     def __post_init__(self):
-        if len(self.teams) != len(self.scores):
+        if len(self.rows) != len(self.scores):
             raise ValueError("teams and scores must align")
-        if self.candidate_count < len(self.teams):
+        if self.candidate_count < len(self.rows):
             raise ValueError(f"more teams than the {self.candidate_count} candidates")
-        keys = [t.key for t in self.teams]
-        if len(set(keys)) != len(keys):
+        if len(set(self.rows)) != len(self.rows):
             raise ValueError("duplicate teams in selected set")
 
     def __len__(self) -> int:
-        return len(self.teams)
+        return len(self.rows)
 
-    def team_keys(self) -> set[str]:
-        return {t.key for t in self.teams}
+    @property
+    def teams(self) -> tuple[EnsembleTeam, ...]:
+        return tuple(self.cands.teams[r] for r in self.rows)
 
 
 def mean_threshold(scores) -> tuple[float, np.ndarray]:
@@ -105,13 +106,9 @@ def q_select(metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
         raise EmptyNegativesError("cannot select on an empty negative set")
     scores = normalize(metric, raw_score(metric, corr.omega[:, neg], cands.members))
     threshold, keep = mean_threshold(scores)
-    selected = SelectedSet(
-        method=f"q-{metric.value}",
-        teams=tuple(t for t, k in zip(cands.teams, keep) if k),
-        scores=tuple(float(s) for s, k in zip(scores, keep) if k),
-        pool_size=cands.pool_size,
-        candidate_count=len(cands),
-    )
+    selected = SelectedSet(method=f"q-{metric.value}", cands=cands,
+                           rows=tuple(np.flatnonzero(keep).tolist()),
+                           scores=tuple(scores[keep].tolist()), candidate_count=len(cands))
     rule = SelectionRule(metric=metric, cutoff=threshold)
     return selected, rule
 
@@ -135,8 +132,8 @@ def two_means_split(values) -> TwoMeansSplit:
     value.
     """
     xs = np.asarray(values, dtype=np.float64)
-    if xs.size < 2 or np.unique(xs).size < 2:
-        raise ValueError("two_means_split needs at least 2 distinct values")
+    if xs.size < 2 or not xs.min() < xs.max():  # NaN compares false
+        raise ValueError("two_means_split needs at least 2 distinct values, none NaN")
     mid = (xs.min() + xs.max()) / 2.0
     low = xs <= mid
     iterations = 0
@@ -177,7 +174,7 @@ def rule_cells(cands: CandidateSet):
     ``mask`` marks the candidates of that size that contain the focal model."""
     sizes = cands.members.sum(axis=1)
     for focal, has_focal in enumerate(cands.members.T):
-        for size in np.unique(sizes[has_focal]).tolist():
+        for size in sorted(set(sizes[has_focal].tolist())):
             yield focal, size, has_focal & (sizes == size)
 
 
@@ -195,7 +192,7 @@ def learn_fq_rules(metric: MetricId, cands: CandidateSet,
     for focal, size, cell in rule_cells(cands):
         cell_scores = table.scores[cell, focal]
         cell_scores = cell_scores[~np.isnan(cell_scores)]
-        if np.unique(cell_scores).size > 1:
+        if cell_scores.size > 1 and cell_scores.min() < cell_scores.max():
             cutoff, keep_all = two_means_split(cell_scores).cutoff, False
         else:  # the one score, or 0 when there is none, anchors a keep-all rule
             cutoff, keep_all = (float(cell_scores[0]) if cell_scores.size else 0.0), True
@@ -230,13 +227,9 @@ def fq_select(metric: MetricId, cands: CandidateSet, rules,
     for row in table.scores[kept]:  # member scores in member order, NaN elsewhere
         scored = row[~np.isnan(row)]
         kept_scores.append(float(scored.mean()) if scored.size else 0.0)
-    return SelectedSet(
-        method=f"fq-{metric.value}-{mode}",
-        teams=tuple(t for t, k in zip(cands.teams, kept) if k),
-        scores=tuple(kept_scores),
-        pool_size=cands.pool_size,
-        candidate_count=len(cands),
-    )
+    return SelectedSet(method=f"fq-{metric.value}-{mode}", cands=cands,
+                       rows=tuple(np.flatnonzero(kept).tolist()), scores=tuple(kept_scores),
+                       candidate_count=len(cands))
 
 
 def eq_fuse(selected: list[SelectedSet]) -> SelectedSet:
@@ -245,25 +238,14 @@ def eq_fuse(selected: list[SelectedSet]) -> SelectedSet:
         raise DivselError("fusion needs at least 2 selected sets")
     first = selected[0]
     for other in selected[1:]:
-        if (other.pool_size != first.pool_size
-                or other.candidate_count != first.candidate_count):
+        if other.cands != first.cands or other.candidate_count != first.candidate_count:
             raise DivselError("fused sets must come from the same candidate set")
-    score_maps = [dict(zip((t.key for t in s.teams), s.scores)) for s in selected]
-    common = set(score_maps[0])
-    for m in score_maps[1:]:
-        common &= set(m)
-    teams = tuple(t for t in first.teams if t.key in common)
-    scores = tuple(
-        float(np.mean([m[t.key] for m in score_maps])) for t in teams
-    )
+    score_maps = [dict(zip(s.rows, s.scores)) for s in selected]
+    rows = tuple(r for r in first.rows if all(r in m for m in score_maps[1:]))
+    scores = tuple(float(np.mean([m[r] for m in score_maps])) for r in rows)
     label = "+".join(s.method for s in selected)
-    return SelectedSet(
-        method=f"eq({label})",
-        teams=teams,
-        scores=scores,
-        pool_size=first.pool_size,
-        candidate_count=first.candidate_count,
-    )
+    return SelectedSet(method=f"eq({label})", cands=first.cands, rows=rows, scores=scores,
+                       candidate_count=first.candidate_count)
 
 
 def rules_to_json(rules) -> str:

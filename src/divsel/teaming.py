@@ -47,11 +47,6 @@ class EnsembleTeam:
         return "-".join(str(i) for i in self.members)
 
 
-def team(*members: int) -> EnsembleTeam:
-    """Convenience constructor: ``team(0, 2, 5)``."""
-    return EnsembleTeam(tuple(sorted(members)))
-
-
 def parse_team(text: str) -> EnsembleTeam:
     """Parse a canonical team string ("0123" or "3-10-11")."""
     text = text.strip()

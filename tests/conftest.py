@@ -8,10 +8,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from divsel.diversity import raw_score
 from divsel.pool import ModelRecord, build_pool
+from divsel.teaming import EnsembleTeam
 
 # shared 10-sample correctness fixture used across the metric tests
 FIXTURE_WI = [1, 1, 1, 1, 0, 0, 1, 0, 1, 1]
 FIXTURE_WJ = [1, 0, 1, 1, 1, 0, 1, 0, 0, 1]
+
+
+def team(*members: int) -> EnsembleTeam:
+    """The team of the given model ids, in any order: ``team(2, 0, 5)``."""
+    return EnsembleTeam(tuple(sorted(members)))
 
 
 def team_score(metric, rows) -> float:

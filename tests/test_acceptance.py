@@ -22,9 +22,9 @@ from divsel.sampling import focal_negative_sets, negatives_any, sample_subset
 from divsel.selection import (FocalScoreTable, eq_fuse, fq_select, learn_fq_rules,
                               q_select)
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
-from divsel.teaming import enumerate_teams, team
+from divsel.teaming import enumerate_teams
 
-from conftest import FIXTURE_WI, FIXTURE_WJ, pool_from_probs, team_score
+from conftest import FIXTURE_WI, FIXTURE_WJ, pool_from_probs, team, team_score
 from oracles import o_raw
 
 # synthetic stand-in for a 10-model pool: per-model target accuracies with
@@ -107,7 +107,7 @@ def test_criterion_4_mean_threshold_contract():
         rescored[t.key] = 1.0 - raw
     theta = sum(rescored.values()) / len(rescored)
     oracle_keys = {k for k, s in rescored.items() if s < theta}
-    ok = (selected.team_keys() == oracle_keys
+    ok = ({t.key for t in selected.teams} == oracle_keys
           and abs(rule.cutoff - theta) <= 1e-12)
     _check("criterion 4 (mean-threshold selection contract)", ok,
            f"|selected| = {len(selected)} matches oracle exactly on 1013 teams")

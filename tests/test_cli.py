@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from divsel.cli import main
+from divsel.consensus import ConsensusMethod
+from divsel.evaluation import evaluate_teams, summarize
 from divsel.pool import correctness, load_pool
-from divsel.report import load_selected_set, selected_set_to_dict
+from divsel.report import load_selected_set, selected_set_to_dict, set_report_to_dict
 from divsel.sampling import DEFAULT_SAMPLE_SIZE, build_negative_set
 from divsel.selection import eq_fuse
 from divsel.teaming import enumerate_teams
@@ -259,12 +261,12 @@ def test_rules_in_must_match_metric_and_pool(pool_dir, tmp_path, capsys):
 def test_eq_is_fusion_of_fq_runs(pool_dir, tmp_path):
     manifest = str(pool_dir / "manifest.json")
     base = ["select", "--pool", manifest, "--seed", "5"]
-    parts, rules = [], []
+    parts, rules, cands = [], [], enumerate_teams(5)
     for metric in ("bd", "kw"):
         sel, rul = tmp_path / f"fq-{metric}.json", tmp_path / f"fq-{metric}-rules.json"
         assert main(base + ["--method", "fq", "--metric", metric,
                             "--rules-out", str(rul), "--out", str(sel)]) == 0
-        parts.append(load_selected_set(sel))
+        parts.append(load_selected_set(sel, cands))
         rules += json.loads(rul.read_text())
     sel, rul = tmp_path / "eq.json", tmp_path / "eq-rules.json"
     assert main(base + ["--method", "eq", "--eq-metrics", "bd,kw",
@@ -273,6 +275,23 @@ def test_eq_is_fusion_of_fq_runs(pool_dir, tmp_path):
     assert json.loads(sel.read_text()) == fused
     assert fused["method"] == "eq(fq-bd-all+fq-kw-all)" and fused["teams"]
     assert json.loads(rul.read_text()) == rules
+
+
+def test_report_reads_teams_in_file_order(pool_dir, tmp_path, capsys):
+    # a hand-written file: every third candidate in reverse order, no scores
+    manifest = str(pool_dir / "manifest.json")
+    pool, cands = load_pool(manifest), enumerate_teams(5)
+    corr = correctness(pool)
+    keys = [t.key for t in cands.teams[::-3]]
+    selected = tmp_path / "sel.json"
+    selected.write_text(json.dumps({"method": "picked", "pool_size": 5,
+                                    "num_candidates": 26, "teams": keys}))
+    loaded = load_selected_set(selected, cands)
+    assert loaded.rows == tuple(range(25, -1, -3)) and set(loaded.scores) == {0.0}
+    assert main(["report", "--pool", manifest, "--in", str(selected)]) == 0
+    evals = {e.team: e for e in evaluate_teams(cands, pool, corr, ConsensusMethod("soft"))}
+    want = summarize("picked", [evals[k] for k in keys], 26, float(corr.accuracies.max()))
+    assert json.loads(capsys.readouterr().out)["reports"][1] == set_report_to_dict(want)
 
 
 @pytest.mark.parametrize("pool_size", [12, 5])
@@ -672,3 +691,18 @@ def test_closed_stdout_pipe_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+def test_selection_leaves_numpy_ma_unimported(pool_dir):
+    # np.unique imports numpy.ma; selection groups and splits scores without it
+    src = Path(__file__).resolve().parent.parent / "src"
+    manifest = str(pool_dir / "manifest.json")
+    code = ("import contextlib, io, sys\n"
+            "from divsel.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['recommend', '--pool', {manifest!r}, '--method', 'eq']) == 0\n"
+            f"    assert main(['select', '--pool', {manifest!r}, '--method', 'fq']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from divsel.consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction,
                               boosting_weights, ensemble_accuracy, predict)
 from divsel.errors import CapabilityError, DivselError
-from divsel.teaming import team
 
-from conftest import pool_from_correctness, pool_from_probs
+from conftest import pool_from_correctness, pool_from_probs, team
 from oracles import o_boosting_weights
 
 SOFT = ConsensusMethod("soft")

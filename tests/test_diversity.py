@@ -11,9 +11,9 @@ from divsel.pool import CorrectnessMatrix, correctness
 from divsel.sampling import focal_negative_sets, sample_subset
 from divsel.selection import FocalScoreTable
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
-from divsel.teaming import CandidateSet, enumerate_teams, team
+from divsel.teaming import CandidateSet, enumerate_teams
 
-from conftest import FIXTURE_WI, FIXTURE_WJ, team_score
+from conftest import FIXTURE_WI, FIXTURE_WJ, team, team_score
 from oracles import o_normalized, o_pair_counts, o_raw
 
 TOL = 1e-12

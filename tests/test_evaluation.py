@@ -13,8 +13,9 @@ from divsel.report import (format_percent, selected_set_from_dict, selected_set_
                            set_report_to_dict, set_reports_to_csv, set_reports_to_table)
 from divsel.selection import SelectedSet
 from divsel.synth import SynthConfig, generate_pool
-from divsel.teaming import CandidateSet, enumerate_teams, team
+from divsel.teaming import CandidateSet, enumerate_teams
 
+from conftest import team
 from oracles import (o_boosting_vote, o_majority_vote, o_plurality_vote, o_soft_vote,
                      o_summarize)
 
@@ -252,7 +253,9 @@ def test_table_rendering_smoke(small_pool):
 
 
 def test_selected_set_json_roundtrip():
-    sel = SelectedSet(method="q-gd", teams=(team(0, 1), team(1, 2)),
-                      scores=(0.25, 0.3), pool_size=3, candidate_count=4)
-    again = selected_set_from_dict(json.loads(json.dumps(selected_set_to_dict(sel))))
+    cands = enumerate_teams(3)
+    sel = SelectedSet(method="q-gd", cands=cands, rows=(0, 2), scores=(0.25, 0.3),
+                      candidate_count=4)
+    assert sel.teams == (team(0, 1), team(1, 2))
+    again = selected_set_from_dict(json.loads(json.dumps(selected_set_to_dict(sel))), cands)
     assert again == sel

@@ -14,10 +14,14 @@ from divsel.selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, Sel
                               mean_threshold, q_select, rules_from_json, rules_to_json,
                               two_means_split)
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
-from divsel.teaming import enumerate_teams, team
+from divsel.teaming import enumerate_teams
 
 from conftest import team_score
 from oracles import o_eq_fuse, o_fq_rules, o_fq_select, o_normalized
+
+
+def keys_of(selected) -> set[str]:
+    return {t.key for t in selected.teams}
 
 
 def corr_from(rows):
@@ -76,11 +80,11 @@ def test_q_select_oracle_on_1013_team_pool():
     ]
     theta = sum(oracle_scores) / len(oracle_scores)
     oracle_keys = {t.key for t, s in zip(cands.teams, oracle_scores) if s < theta}
-    assert selected.team_keys() == oracle_keys
+    assert keys_of(selected) == oracle_keys
     assert len(selected) == len(oracle_keys)
     assert rule.cutoff == pytest.approx(theta, abs=1e-12)
     # every kept score below the threshold, every dropped score at or above
-    kept = set(selected.team_keys())
+    kept = set(keys_of(selected))
     for t, s in zip(cands.teams, oracle_scores):
         if t.key in kept:
             assert s < theta
@@ -103,6 +107,12 @@ def test_two_means_two_points():
 def test_two_means_identical_values_rejected():
     with pytest.raises(ValueError):
         two_means_split([0.3, 0.3, 0.3])
+
+
+def test_two_means_rejects_nan():
+    for values in ([0.1, float("nan"), 0.5], [float("nan"), 0.2], [float("nan")] * 3):
+        with pytest.raises(ValueError, match="distinct values"):
+            two_means_split(values)
 
 
 def test_two_means_cutoff_between_clusters():
@@ -141,7 +151,7 @@ def test_learn_fq_rules_degenerate_cell_keeps_all():
     rules = learn_fq_rules(MetricId.GD, cands, StubScores(cands, mapping))
     assert all(r.keep_all for r in rules)
     selected = fq_select(MetricId.GD, cands, rules, StubScores(cands, mapping))
-    assert selected.team_keys() == {t.key for t in cands}
+    assert keys_of(selected) == {t.key for t in cands}
 
 
 def test_learn_fq_rules_single_team_cell_degenerate():
@@ -213,9 +223,9 @@ def test_fq_select_mode_nesting_on_synthetic_pool():
     table = FocalScoreTable(MetricId.GD, cands, corr,
                             focal_negative_sets(corr, 100, 5))
     rules = learn_fq_rules(MetricId.GD, cands, table)
-    sel_all = fq_select(MetricId.GD, cands, rules, table, "all").team_keys()
-    sel_maj = fq_select(MetricId.GD, cands, rules, table, "majority").team_keys()
-    sel_any = fq_select(MetricId.GD, cands, rules, table, "any").team_keys()
+    sel_all = keys_of(fq_select(MetricId.GD, cands, rules, table, "all"))
+    sel_maj = keys_of(fq_select(MetricId.GD, cands, rules, table, "majority"))
+    sel_any = keys_of(fq_select(MetricId.GD, cands, rules, table, "any"))
     assert sel_all <= sel_maj <= sel_any
 
 
@@ -236,7 +246,7 @@ def test_fq_prunes_planted_duplicates_across_seeds():
         table = FocalScoreTable(MetricId.GD, cands, corr,
                                 focal_negative_sets(corr, 100, seed))
         rules = learn_fq_rules(MetricId.GD, cands, table)
-        kept = fq_select(MetricId.GD, cands, rules, table).team_keys()
+        kept = keys_of(fq_select(MetricId.GD, cands, rules, table))
         ok_seeds += all(t.key not in kept for t in dup_teams)
     assert ok_seeds >= 95
 
@@ -329,25 +339,25 @@ def test_fq_and_eq_match_oracles():
 
 # ---------------------------------------------------------------- eq fuse
 
-def _selset(method, keys, pool_size=4, cand_count=11):
-    teams = tuple(team(*[int(c) for c in k]) for k in keys)
-    return SelectedSet(method=method, teams=teams,
-                       scores=tuple(0.1 for _ in teams),
-                       pool_size=pool_size, candidate_count=cand_count)
+def _selset(method, keys, pool_size=4):
+    cands = enumerate_teams(pool_size)
+    row_of = {t.key: k for k, t in enumerate(cands)}
+    return SelectedSet(method=method, cands=cands, rows=tuple(row_of[k] for k in keys),
+                       scores=tuple(0.1 for _ in keys), candidate_count=len(cands))
 
 
 def test_eq_fuse_intersection():
     a = _selset("fq-bd-all", ["01", "02", "03"])
     b = _selset("fq-kw-all", ["02", "03", "12"])
     fused = eq_fuse([a, b])
-    assert fused.team_keys() == {"02", "03"}
+    assert keys_of(fused) == {"02", "03"}
     assert len(fused) <= min(len(a), len(b))
 
 
 def test_eq_fuse_identical_inputs():
     a = _selset("fq-bd-all", ["01", "02"])
     b = _selset("fq-gd-all", ["01", "02"])
-    assert eq_fuse([a, b]).team_keys() == {"01", "02"}
+    assert keys_of(eq_fuse([a, b])) == {"01", "02"}
 
 
 def test_eq_fuse_subset_of_every_input():
@@ -357,14 +367,14 @@ def test_eq_fuse_subset_of_every_input():
             for i in range(3)]
     fused = eq_fuse(sets)
     for s in sets:
-        assert fused.team_keys() <= s.team_keys()
+        assert keys_of(fused) <= keys_of(s)
 
 
 def test_eq_fuse_input_validation():
     a = _selset("fq-bd-all", ["01"])
     with pytest.raises(DivselError):
         eq_fuse([a])
-    b = _selset("fq-kw-all", ["01"], pool_size=5, cand_count=26)
+    b = _selset("fq-kw-all", ["01"], pool_size=5)
     with pytest.raises(DivselError):
         eq_fuse([a, b])
 

@@ -7,7 +7,9 @@ from divsel.pool import correctness, load_pool, write_pool
 from divsel.sampling import negatives_any, sample_subset
 from divsel.synth import (CorrelationGroup, SynthConfig, config_from_dict,
                           generate_pool, validate_config)
-from divsel.teaming import CandidateSet, team
+from divsel.teaming import CandidateSet
+
+from conftest import team
 
 
 def test_perfect_models_give_all_ones_matrix():

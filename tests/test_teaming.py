@@ -3,7 +3,9 @@ from math import comb
 import pytest
 
 from divsel.errors import TeamLimitError
-from divsel.teaming import EnsembleTeam, enumerate_teams, parse_team, team
+from divsel.teaming import EnsembleTeam, enumerate_teams, parse_team
+
+from conftest import team
 
 
 def test_enumerate_m3():
@@ -59,7 +61,7 @@ def test_team_invariants():
         EnsembleTeam((2, 2))
     with pytest.raises(TeamLimitError):
         EnsembleTeam((3, 1))
-    t = team(3, 1)  # sorts
+    t = parse_team("31")  # sorts
     assert t.members == (1, 3)
 
 
