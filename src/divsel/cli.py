@@ -44,16 +44,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _resolve_format(args) -> str:
-    """Explicit --format wins; otherwise infer from the --out extension."""
+    """Explicit --format wins; otherwise infer from the --out extension, or
+    JSON when the command does not offer the inferred format."""
     if args.format:
         return args.format
-    if args.out:
-        suffix = Path(args.out).suffix.lower()
-        if suffix == ".csv":
-            return "csv"
-        if suffix in (".txt", ".tbl"):
-            return "table"
-    return "json"
+    suffix = Path(args.out).suffix.lower() if args.out else ""
+    fmt = {".csv": "csv", ".txt": "table", ".tbl": "table"}.get(suffix, "json")
+    return fmt if fmt in args.formats else "json"
 
 
 def _load(args) -> tuple[PredictionPool, CorrectnessMatrix]:
@@ -334,12 +331,14 @@ def _add_consensus_args(p):
                    help=f"boosting penalty exponent (default {DEFAULT_GAMMA})")
     p.add_argument("--train-indices", default=None,
                    help="boosting training samples: one integer index per line")
+    p.add_argument("--threads", type=_thread_count, default=1)
 
 
 def _add_output_args(p, formats=("json", "csv", "table")):
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=list(formats), default=None,
                    help="output format (default: by --out extension, else json)")
+    p.set_defaults(formats=formats)
 
 
 def _add_select_args(p):
@@ -407,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pool_arg(p)
     p.add_argument("--in", required=True, help="selected-set JSON from `select`")
     _add_consensus_args(p)
-    p.add_argument("--threads", type=_thread_count, default=1)
     _add_output_args(p)
     p.set_defaults(func=cmd_report)
 
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_select_args(p)
     _add_sampling_args(p)
     _add_consensus_args(p)
-    p.add_argument("--threads", type=_thread_count, default=1)
     _add_output_args(p)
     p.set_defaults(func=cmd_recommend)
 
@@ -426,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.add_argument("--seed", type=int, default=0)
     _add_consensus_args(p)
-    p.add_argument("--threads", type=_thread_count, default=1)
     _add_output_args(p, formats=("json", "table"))
     p.set_defaults(func=cmd_query)
 

@@ -26,16 +26,10 @@ METHODS = ("soft", "majority", "plurality", "boosting")
 PROB_METHODS = ("soft", "boosting")
 
 
-def _check_gamma(gamma: float) -> None:
-    """Boosting needs a finite negative penalty exponent."""
-    if not (math.isfinite(gamma) and gamma < 0):
-        raise DivselError(f"boosting penalty must be finite and negative, got {gamma}")
-
-
 @dataclass(frozen=True, eq=False)
 class ConsensusMethod:
-    """A consensus algorithm choice plus its parameters; ``train_indices``
-    is kept as a read-only int64 copy."""
+    """A consensus algorithm choice plus its parameters, checked here once;
+    ``train_indices`` is kept as a non-empty read-only int64 copy."""
 
     kind: str
     gamma: float = DEFAULT_GAMMA
@@ -44,10 +38,13 @@ class ConsensusMethod:
     def __post_init__(self):
         if self.kind not in METHODS:
             raise ValueError(f"unknown consensus method {self.kind!r}")
-        if self.kind == "boosting":
-            _check_gamma(self.gamma)
+        if self.kind == "boosting" and not (math.isfinite(self.gamma) and self.gamma < 0):
+            raise DivselError(
+                f"boosting penalty must be finite and negative, got {self.gamma}")
         if self.train_indices is not None:
             indices = np.array(self.train_indices, dtype=np.int64)
+            if indices.size == 0:
+                raise DivselError("boosting needs a non-empty training index set")
             indices.flags.writeable = False
             object.__setattr__(self, "train_indices", indices)
 
@@ -65,7 +62,7 @@ class EnsemblePrediction:
 
 
 def _member_probs(team: EnsembleTeam, pool: PredictionPool, what: str):
-    missing = [i for i in team.members if not pool.models[i].has_probs]
+    missing = [i for i in team.members if pool.models[i].probs is None]
     if missing:
         raise CapabilityError(
             f"{what} needs prediction probabilities, but model(s) "
@@ -75,30 +72,29 @@ def _member_probs(team: EnsembleTeam, pool: PredictionPool, what: str):
 
 
 def boosting_weights(team: EnsembleTeam, pool: PredictionPool,
-                     train_indices=None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+                     method: ConsensusMethod) -> np.ndarray:
     """Learn member weights, in member order and summing to 1, by
     multiplicative error penalties.
 
     Each training error multiplies a member's weight by e^gamma before the
     weights are renormalized, so w_i is proportional to e^(gamma * e_i),
-    with e_i member i's error count on the training indices (all samples
-    when None).  Index order does not matter; duplicates count each time.
-    Subtracting min(e) keeps the largest term at 1, so nothing underflows.
+    with e_i member i's error count on the method's training indices (all
+    samples when None).  Index order does not matter; duplicates count
+    each time.  Subtracting min(e) keeps the largest term at 1, so nothing
+    underflows.  ``method`` has checked gamma and ``predict`` the member
+    probabilities; only the index range depends on the pool.
     """
-    _check_gamma(gamma)
-    _member_probs(team, pool, "boosting voting")
     train = slice(None)
-    if train_indices is not None:
-        train = np.asarray(train_indices, dtype=np.int64)
-        if train.size == 0:
-            raise DivselError("boosting needs a non-empty training index set")
+    if method.train_indices is not None:
+        train = method.train_indices
+        # a negative index would otherwise wrap around silently
         if np.any((train < 0) | (train >= pool.num_samples)):
             raise DivselError("training index out of range")
     # argmax of each prob row equals the stored predicted label (pool invariant)
     labels = pool.labels[train]
     errors = np.array([np.count_nonzero(pool.models[i].pred_labels[train] != labels)
                        for i in team.members])
-    weights = np.exp(gamma * (errors - errors.min()))
+    weights = np.exp(method.gamma * (errors - errors.min()))
     return weights / weights.sum()
 
 
@@ -120,8 +116,7 @@ def predict(team: EnsembleTeam, pool: PredictionPool,
             labels[counts.max(axis=1) * 2 <= team.size] = ABSTAIN
         return EnsemblePrediction(labels=labels)
     probs = _member_probs(team, pool, f"{method.kind} voting")
-    weights = (boosting_weights(team, pool, method.train_indices, method.gamma)
-               if method.kind == "boosting" else None)
+    weights = boosting_weights(team, pool, method) if method.kind == "boosting" else None
     combined = np.zeros_like(probs[0])
     for k, p in enumerate(probs):
         # each weighted term is freed before the next is made; keeping two

@@ -45,10 +45,6 @@ class ModelRecord:
     pred_labels: np.ndarray
     probs: np.ndarray | None = None
 
-    @property
-    def has_probs(self) -> bool:
-        return self.probs is not None
-
 
 @dataclass(frozen=True)
 class PredictionPool:
@@ -156,37 +152,25 @@ def _check_probs(probs: np.ndarray, pred_labels: np.ndarray, num_classes: int,
 
 def build_pool(dataset_name: str, num_classes: int, labels: np.ndarray,
                models: list[ModelRecord]) -> PredictionPool:
-    """Assemble and validate a pool from in-memory arrays."""
-    if num_classes < 1:
-        raise PoolError(f"num_classes must be positive, got {num_classes}")
-    labels = _freeze(np.asarray(labels, dtype=np.int64))
-    n = labels.shape[0]
-    if n < 1:
-        raise PoolError("pool has no samples")
+    """Assemble a pool from in-memory arrays and freeze them.
+
+    Callers pass arrays whose shapes and ranges they have checked:
+    ``load_pool`` checks each file with its path and row, and ``synth``
+    its config through ``validate_config``.  Only the model ids are
+    checked here.
+    """
     if len(models) < 2:
         raise PoolError(f"pool needs at least 2 models, got {len(models)}")
     ids = [m.id for m in models]
     if sorted(ids) != list(range(len(models))):
         raise PoolError(f"model ids must be 0..{len(models) - 1} and unique, got {ids}")
-    if np.any((labels < 0) | (labels >= num_classes)):
-        bad = int(np.where((labels < 0) | (labels >= num_classes))[0][0])
-        raise PoolError(f"label at row {bad} out of range [0, {num_classes})")
     ordered = sorted(models, key=lambda m: m.id)
     for m in ordered:
-        if m.pred_labels.shape[0] != n:
-            raise PoolError(
-                f"model {m.id} ({m.name!r}): {m.pred_labels.shape[0]} predictions "
-                f"but pool has {n} samples"
-            )
-        if np.any((m.pred_labels < 0) | (m.pred_labels >= num_classes)):
-            bad = int(np.where((m.pred_labels < 0) | (m.pred_labels >= num_classes))[0][0])
-            raise PoolError(
-                f"model {m.id} ({m.name!r}), row {bad}: predicted label out of range"
-            )
         _freeze(m.pred_labels)
         if m.probs is not None:
             _freeze(m.probs)
-    return PredictionPool(dataset_name, num_classes, labels, tuple(ordered))
+    return PredictionPool(dataset_name, num_classes,
+                          _freeze(np.asarray(labels, dtype=np.int64)), tuple(ordered))
 
 
 NUMBER = (int, float)

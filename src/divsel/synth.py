@@ -77,10 +77,6 @@ def load_config(path: str | Path) -> SynthConfig:
         raise SynthConfigError(f"bad synth config {path}: {exc}") from exc
 
 
-def _error_budget(accuracy: float, num_samples: int) -> int:
-    return round((1.0 - accuracy) * num_samples)
-
-
 def validate_config(cfg: SynthConfig) -> None:
     if cfg.num_models < 2:
         raise SynthConfigError(f"need at least 2 models, got {cfg.num_models}")
@@ -100,8 +96,6 @@ def validate_config(cfg: SynthConfig) -> None:
                 f"model {i}: accuracy {acc} < 1 is infeasible with a single class "
                 "(no wrong label exists)"
             )
-        if _error_budget(acc, cfg.num_samples) > cfg.num_samples:
-            raise SynthConfigError(f"model {i}: error budget exceeds sample count")
     seen: set[int] = set()
     for g in cfg.groups:
         if not (0.0 <= g.overlap <= 1.0):
@@ -149,7 +143,7 @@ def generate_pool(cfg: SynthConfig) -> PredictionPool:
     models = []
     for i in range(m):
         rng = np.random.default_rng(derive_seed(cfg.seed, i + 1))
-        budget = _error_budget(cfg.accuracies[i], n)
+        budget = round((1.0 - cfg.accuracies[i]) * n)
         if i in overlap_of:
             n_shared = round(overlap_of[i] * budget)
             shared = hard_order[i][:n_shared]

@@ -179,7 +179,7 @@ def test_criterion_6_consensus_invariants():
     # boosting: hand value, sum contract, uniform-weight equivalence on the
     # training samples every member gets right
     one = pool_from_probs([0], [[[0.2, 0.8]], [[0.9, 0.1]]], num_classes=2)
-    w = boosting_weights(team(0, 1), one, gamma=-0.01)
+    w = boosting_weights(team(0, 1), one, ConsensusMethod("boosting", gamma=-0.01))
     hand_ok = (abs(w[0] - 0.49751) <= 1e-5 and abs(w[1] - 0.50249) <= 1e-5
                and abs(float(w.sum()) - 1.0) <= 1e-9)
 
@@ -190,7 +190,7 @@ def test_criterion_6_consensus_invariants():
     boosting = ConsensusMethod("boosting", train_indices=right)
     boost_soft_ok = bool(
         right.size > 0
-        and (boosting_weights(t10, pool10, right) == 0.25).all()
+        and (boosting_weights(t10, pool10, boosting) == 0.25).all()
         and (predict(t10, pool10, boosting).labels
              == predict(t10, pool10, ConsensusMethod("soft")).labels).all())
 

@@ -140,9 +140,19 @@ def ancestors(span):
         span = by_id[span["parent"]]
         yield span["id"]
 predicts = [s for s in t.spans if s["name"] == "consensus.predict"]
+weights = [s for s in t.spans if s["name"] == "consensus.boosting_weights"]
+calls = [s for s in t.spans if s["name"] == "evaluation.evaluate_teams"]
+# the span file's fields, as run_cli writes them
+metrics = tracer.layer_metrics([{"run": "t", "end": 0.0, "missing": t.missing,
+                                 "spans": t.spans, "tallies": t.tally_records()}], 1.0)
 print(json.dumps({"candidates": len(cands), "predicts": len(predicts),
-                  "per_call": [sum(s["id"] in ancestors(p) for p in predicts)
-                               for s in t.spans if s["name"] == "evaluation.evaluate_teams"]}))
+                  "per_call": [sum(s["id"] in ancestors(p) for p in predicts) for s in calls],
+                  "weights_per_call": [sum(s["id"] in ancestors(w) for w in weights)
+                                       for s in calls],
+                  "weights_in_predicts": len({w["parent"] for w in weights
+                                              if by_id[w["parent"]]["name"]
+                                              == "consensus.predict"}),
+                  "weights_s": metrics["consensus.weights_s"] > 0}))
 """
 
 
@@ -154,5 +164,8 @@ def test_tracer_spans_one_vote_per_candidate_under_evaluate_teams():
     k = got["candidates"]
     assert k == 11
     # soft and majority on 1 thread, boosting and plurality on 2: every
-    # method votes through the spanned predict, nested in its call
-    assert got == {"candidates": k, "predicts": 4 * k, "per_call": [k, k, k, k]}
+    # method votes through the spanned predict, nested in its call, and each
+    # boosting vote learns its weights once, in its own predict span
+    assert got == {"candidates": k, "predicts": 4 * k, "per_call": [k, k, k, k],
+                   "weights_per_call": [0, k, 0, 0], "weights_in_predicts": k,
+                   "weights_s": True}

@@ -202,6 +202,20 @@ def test_report_format_inferred_from_extension(pool_dir, tmp_path):
     json.loads(out_json.read_text())
 
 
+def test_out_suffix_of_a_format_not_offered_writes_json(pool_dir, tmp_path):
+    # consensus and query render json or table only; a .csv name falls back to json
+    manifest = str(pool_dir / "manifest.json")
+    out = tmp_path / "r.csv"
+    for argv, key in ((["consensus", "--team", "014", "--method", "soft"], "team"),
+                      (["query", "--team", "023"], "query_team")):
+        assert main(argv + ["--pool", manifest, "--out", str(out)]) == 0
+        assert key in json.loads(out.read_text())
+    txt = tmp_path / "r.txt"
+    assert main(["consensus", "--team", "014", "--method", "soft", "--pool", manifest,
+                 "--out", str(txt)]) == 0
+    assert txt.read_text().startswith("team 014: soft accuracy ")
+
+
 def test_recommend_table_format(pool_dir, capsys):
     assert main(["recommend", "--pool", str(pool_dir / "manifest.json"),
                  "--method", "q", "--metric", "kw", "--seed", "1",
@@ -225,6 +239,7 @@ def _bad_manifest(pool_dir, name, mutate):
     ("num-classes", lambda d: d.update(num_classes="six")),
     ("bool-id", lambda d: d["models"][1].update(id=True)),
     ("models-not-list", lambda d: d.update(models={"id": 0})),
+    ("zero-classes", lambda d: d.update(num_classes=0)),
 ])
 def test_malformed_manifest_exits_1(pool_dir, capsys, name, mutate):
     path = _bad_manifest(pool_dir, name, mutate)
@@ -337,12 +352,14 @@ def test_non_utf8_input_files_exit_1(pool_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["consensus", "report"])
 @pytest.mark.parametrize("defect", ["two-columns", "one-row-two-columns", "empty-train",
-                                    "empty-labels"])
+                                    "empty-labels", "negative-train", "train-past-end"])
 def test_bad_integer_files_exit_1(pool_dir, tmp_path, capsys, command, defect):
+    # the pool has 800 samples; a -1 index must not wrap to the last one
     manifest = pool_dir / "manifest.json"
     train = tmp_path / "train.txt"
     train.write_text({"two-columns": "1 2\n3 4\n", "one-row-two-columns": "1 2\n",
-                      "empty-train": ""}.get(defect, "1\n2\n"))
+                      "empty-train": "", "negative-train": "3\n-1\n7\n",
+                      "train-past-end": "3\n800\n"}.get(defect, "1\n2\n"))
     if defect == "empty-labels":
         (pool_dir / "empty.txt").write_text("")
         manifest = _bad_manifest(pool_dir, defect, lambda d: d.update(labels="empty.txt"))
@@ -361,7 +378,7 @@ def test_bad_integer_files_exit_1(pool_dir, tmp_path, capsys, command, defect):
 
 
 @pytest.mark.parametrize("command", ["consensus", "report"])
-@pytest.mark.parametrize("gamma", ["nan", "-inf"])
+@pytest.mark.parametrize("gamma", ["nan", "-inf", "0", "0.5"])
 def test_boosting_gamma_must_be_finite(pool_dir, tmp_path, capsys, command, gamma):
     manifest = str(pool_dir / "manifest.json")
     if command == "consensus":

@@ -15,6 +15,7 @@ from oracles import o_boosting_weights
 SOFT = ConsensusMethod("soft")
 MAJORITY = ConsensusMethod("majority")
 PLURALITY = ConsensusMethod("plurality")
+BOOSTING = ConsensusMethod("boosting")
 
 
 def votes_pool(vote_rows, num_classes):
@@ -122,13 +123,13 @@ def test_boosting_weights_no_errors_stay_uniform():
     probs = np.full((50, 3), 0.1)
     probs[np.arange(50), labels] = 0.8
     pool = pool_from_probs(labels, [probs, probs.copy(), probs.copy()], num_classes=3)
-    w = boosting_weights(team(0, 1, 2), pool)
+    w = boosting_weights(team(0, 1, 2), pool, BOOSTING)
     np.testing.assert_array_equal(w, np.full(3, 1 / 3))
 
 
 def test_boosting_weights_hand_value():
     pool = _two_model_pool(member0_wrong=True)
-    w = boosting_weights(team(0, 1), pool, gamma=-0.01)
+    w = boosting_weights(team(0, 1), pool, ConsensusMethod("boosting", gamma=-0.01))
     assert w[0] == pytest.approx(0.49751, abs=1e-5)
     assert w[1] == pytest.approx(0.50249, abs=1e-5)
     assert abs(w.sum() - 1.0) <= 1e-9
@@ -143,7 +144,7 @@ def test_boosting_weights_sum_to_one():
         p /= p.sum(axis=1, keepdims=True)
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=4)
-    w = boosting_weights(team(0, 1, 2, 3), pool)
+    w = boosting_weights(team(0, 1, 2, 3), pool, BOOSTING)
     assert abs(float(w.sum()) - 1.0) <= 1e-9
 
 
@@ -159,26 +160,32 @@ def test_boosting_weights_more_errors_means_smaller_weight():
         p[np.arange(300), preds] = 0.8
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=3)
-    w = boosting_weights(team(0, 1, 2), pool)
+    w = boosting_weights(team(0, 1, 2), pool, BOOSTING)
     errors = [int((pool.models[i].pred_labels != labels).sum()) for i in range(3)]
     assert errors[0] < errors[1] < errors[2]
     assert w[0] > w[1] > w[2]
 
 
 def test_boosting_weights_gamma_validation():
-    pool = _two_model_pool(member0_wrong=False)
-    with pytest.raises(DivselError):
-        boosting_weights(team(0, 1), pool, gamma=0.0)
-    with pytest.raises(DivselError):
-        ConsensusMethod("boosting", gamma=0.5)
+    # the method checks gamma once; boosting_weights trusts it
+    for gamma in (0.0, 0.5, math.nan, -math.inf):
+        with pytest.raises(DivselError, match="finite and negative"):
+            ConsensusMethod("boosting", gamma=gamma)
+    ConsensusMethod("soft", gamma=0.5)  # only boosting reads gamma
 
 
 def test_boosting_weights_respects_train_indices():
     pool = _two_model_pool(member0_wrong=True)
-    with pytest.raises(DivselError):
-        boosting_weights(team(0, 1), pool, train_indices=np.array([], dtype=np.int64))
-    with pytest.raises(DivselError):
-        boosting_weights(team(0, 1), pool, train_indices=np.array([5]))
+    for kind in ("boosting", "soft"):
+        with pytest.raises(DivselError, match="non-empty training index set"):
+            ConsensusMethod(kind, train_indices=np.array([], dtype=np.int64))
+    # the pool's range is checked per pool; a negative index must not wrap
+    for bad in ([5], [1], [-1], [0, -1]):
+        method = ConsensusMethod("boosting", train_indices=bad)
+        with pytest.raises(DivselError, match="training index out of range"):
+            boosting_weights(team(0, 1), pool, method)
+        with pytest.raises(DivselError, match="training index out of range"):
+            predict(team(0, 1), pool, method)
 
 
 @st.composite
@@ -208,7 +215,8 @@ def test_boosting_weights_match_walk_oracle(case):
         p[np.arange(n), row] += 0.5
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=num_classes)
-    w = boosting_weights(team(*range(len(preds))), pool, train_indices=train, gamma=gamma)
+    method = ConsensusMethod("boosting", gamma=gamma, train_indices=train)
+    w = boosting_weights(team(*range(len(preds))), pool, method)
     walked = o_boosting_weights(preds, labels, range(n) if train is None else train, gamma)
     np.testing.assert_allclose(w, walked, rtol=0, atol=1e-12)
 
@@ -222,7 +230,7 @@ def test_boosting_weights_do_not_underflow_at_large_error_counts():
         p[:errors] = [0.1, 0.9]
         mats.append(p)
     pool = pool_from_probs(np.zeros(n, dtype=np.int64), mats, num_classes=2)
-    w = boosting_weights(team(0, 1, 2), pool, gamma=-0.01)
+    w = boosting_weights(team(0, 1, 2), pool, ConsensusMethod("boosting", gamma=-0.01))
     assert np.all(np.isfinite(w))
     assert abs(float(w.sum()) - 1.0) <= 1e-12
     assert w.argmax() == 1
@@ -242,8 +250,9 @@ def test_boosting_vote_uniform_weights_equal_soft_vote():
     # no member errs on the training samples, so every weight is exactly 1/4
     right = np.flatnonzero(np.all([m.pred_labels == labels for m in pool.models], axis=0))
     assert right.size >= 30
-    np.testing.assert_array_equal(boosting_weights(t, pool, right), np.full(4, 0.25))
-    boosted = predict(t, pool, ConsensusMethod("boosting", train_indices=right))
+    method = ConsensusMethod("boosting", train_indices=right)
+    np.testing.assert_array_equal(boosting_weights(t, pool, method), np.full(4, 0.25))
+    boosted = predict(t, pool, method)
     soft = predict(t, pool, SOFT)
     np.testing.assert_array_equal(boosted.labels, soft.labels)
     np.testing.assert_array_equal(boosted.probs, soft.probs)
@@ -255,8 +264,7 @@ def test_boosting_vote_degenerate_weights_follow_single_member():
     pool = pool_from_probs([0, 1], [[[0.6, 0.4], [0.3, 0.7]],
                                     [[0.2, 0.8], [0.9, 0.1]]], num_classes=2)
     method = ConsensusMethod("boosting", gamma=-1000.0)
-    np.testing.assert_array_equal(boosting_weights(team(0, 1), pool, gamma=method.gamma),
-                                  [1.0, 0.0])
+    np.testing.assert_array_equal(boosting_weights(team(0, 1), pool, method), [1.0, 0.0])
     pred = predict(team(0, 1), pool, method)
     np.testing.assert_array_equal(pred.labels, pool.models[0].pred_labels)
 
@@ -267,7 +275,7 @@ def test_boosting_vote_hand_value():
     pool = pool_from_probs([1, 0], [[[0.6, 0.4], [0.9, 0.1]],
                                     [[0.2, 0.8], [0.1, 0.9]]], num_classes=2)
     method = ConsensusMethod("boosting", gamma=math.log(3 / 7), train_indices=[1])
-    w = boosting_weights(team(0, 1), pool, method.train_indices, method.gamma)
+    w = boosting_weights(team(0, 1), pool, method)
     np.testing.assert_allclose(w, [0.7, 0.3], rtol=0, atol=1e-15)
     pred = predict(team(0, 1), pool, method)
     assert pred.labels[0] == 1  # combined mass proportional to [0.48, 0.52]
@@ -285,7 +293,7 @@ def test_boosting_vote_scale_invariant_argmax():
     pool = pool_from_probs(labels, mats, num_classes=3)
     t = team(0, 1, 2)
     method = ConsensusMethod("boosting", gamma=-0.2)
-    w = boosting_weights(t, pool, gamma=method.gamma)
+    w = boosting_weights(t, pool, method)
     assert len(set(w.tolist())) == 3
     base = predict(t, pool, method).labels
     # scaling all weights by a positive constant cannot move any argmax

@@ -145,13 +145,12 @@ def vote_cases(draw):
 
 def _oracle_votes(t, pool, method):
     preds = [pool.models[i].pred_labels.tolist() for i in t.members]
-    probs = [pool.models[i].probs.tolist() if pool.models[i].has_probs else None
+    probs = [None if pool.models[i].probs is None else pool.models[i].probs.tolist()
              for i in t.members]
     if method.kind == "soft":
         return o_soft_vote(probs)
     if method.kind == "boosting":  # the weights have their own oracle test
-        return o_boosting_vote(probs, boosting_weights(t, pool, method.train_indices,
-                                                       method.gamma).tolist())
+        return o_boosting_vote(probs, boosting_weights(t, pool, method).tolist())
     if method.kind == "majority":
         return o_majority_vote(preds, pool.num_classes)
     return o_plurality_vote(preds, pool.num_classes)

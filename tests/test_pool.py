@@ -53,6 +53,19 @@ def test_pred_label_out_of_range(tmp_path):
         load_pool(path)
 
 
+@pytest.mark.parametrize("where, file, row", [("labels", "labels.txt", 2),
+                                               ("pred", "m1_pred.txt", 3)])
+def test_negative_label_names_file_and_row(tmp_path, where, file, row):
+    # load_pool is the only range check: build_pool trusts its arrays
+    labels = [0, 1, -1 if where == "labels" else 0, 1]
+    preds = [[0, 1, 0, 0], [1, 1, 0, -1 if where == "pred" else 1]]
+    path = write_manifest(tmp_path, labels=labels, pred_rows=preds, num_classes=2)
+    with pytest.raises(PoolError) as exc:
+        load_pool(path)
+    assert str(exc.value).endswith(
+        f"file {tmp_path / file}, row {row}: label -1 out of range [0, 2)")
+
+
 def test_missing_file(tmp_path):
     path = write_manifest(tmp_path, labels=[0, 1],
                           pred_rows=[[0, 1], [1, 1]], num_classes=2)
@@ -171,7 +184,7 @@ def test_load_without_probs_reads_labels_only(tmp_path):
     assert [(m.id, m.name) for m in lean.models] == [(m.id, m.name) for m in full.models]
     for a, b in zip(lean.models, full.models):
         np.testing.assert_array_equal(a.pred_labels, b.pred_labels)
-    assert [m.has_probs for m in full.models] == [True, False, True]
+    assert [m.probs is not None for m in full.models] == [True, False, True]
     assert all(m.probs is None for m in lean.models)
     np.testing.assert_array_equal(correctness(lean).omega, correctness(full).omega)
     np.testing.assert_array_equal(correctness(lean).accuracies,
