@@ -30,8 +30,8 @@ from .pool import (CorrectnessMatrix, PredictionPool, _read_label_file, correctn
 from .sampling import (DEFAULT_SAMPLE_SIZE, SCHEMES, build_negative_set,
                        focal_negative_sets, negatives_any, sample_subset)
 from .selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, SelectedSet,
-                        check_rules, eq_fuse, fq_select, learn_fq_rules, load_rules,
-                        q_select, save_rules)
+                        eq_fuse, fq_select, learn_fq_rules, load_rules, q_select,
+                        save_rules)
 from .synth import generate_pool, load_config
 from .teaming import CandidateSet, EnsembleTeam, enumerate_teams, parse_team
 
@@ -56,14 +56,6 @@ def _resolve_format(args) -> str:
 def _load(args) -> tuple[PredictionPool, CorrectnessMatrix]:
     pool = load_pool(args.pool, probs=getattr(args, "consensus", None) in PROB_METHODS)
     return pool, correctness(pool)
-
-
-def _check_team(team, pool) -> None:
-    if team.members[-1] >= pool.num_models:
-        raise DivselError(
-            f"team {team.key} references model {team.members[-1]}, but the "
-            f"pool has only {pool.num_models} models"
-        )
 
 
 def _consensus_method(args) -> ConsensusMethod:
@@ -101,10 +93,7 @@ def _select(args, cands: CandidateSet, corr: CorrectnessMatrix):
             raise DivselError("--eq-metrics needs at least two metrics")
         if len(set(metrics)) < len(metrics):
             raise DivselError(f"--eq-metrics repeats a metric: {args.eq_metrics}")
-    stored = None
-    if rules_path:
-        stored = load_rules(rules_path)
-        check_rules(stored, metrics[0], cands.pool_size)
+    stored = load_rules(rules_path, metrics[0], cands.pool_size) if rules_path else None
     # focal negatives depend on the focal model and the seed, not on the metric
     neg_sets = focal_negative_sets(corr, args.sample_size, args.seed)
     all_rules = []
@@ -146,8 +135,7 @@ def cmd_diversity(args) -> int:
     neg = build_negative_set(corr, args.sampling, args.sample_size, args.seed,
                              focal=args.focal)
     if args.team is not None:
-        team = parse_team(args.team)
-        _check_team(team, pool)
+        team = parse_team(args.team, pool.num_models)
         cands = CandidateSet.of([team], pool.num_models)
     else:
         cands = enumerate_teams(pool.num_models, args.team_size)
@@ -185,8 +173,7 @@ def cmd_select(args) -> int:
 
 def cmd_consensus(args) -> int:
     pool, _ = _load(args)
-    team = parse_team(args.team)
-    _check_team(team, pool)
+    team = parse_team(args.team, pool.num_models)
     method = _consensus_method(args)
     pred = predict(team, pool, method)
     acc = ensemble_accuracy(pred, pool.labels)
@@ -250,8 +237,7 @@ def cmd_recommend(args) -> int:
 
 def cmd_query(args) -> int:
     pool, corr = _load(args)
-    team = parse_team(args.team)
-    _check_team(team, pool)
+    team = parse_team(args.team, pool.num_models)
     method = _consensus_method(args)
     # sub-teams of the query team, smallest first, full team last
     subteams = CandidateSet.of((EnsembleTeam(combo)

@@ -9,12 +9,12 @@ fractions of teams clearing each bar.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .consensus import ConsensusMethod, ensemble_accuracy, predict
-from .parallel import parallel_map
 from .pool import CorrectnessMatrix, PredictionPool
 from .teaming import CandidateSet
 
@@ -59,6 +59,16 @@ class SetReport:
     pct_beats_pool: float
     best_team: str | None
     best_accuracy: float | None
+
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """``fn`` of each item, in input order whatever the thread count, so a pure
+    per-item function gives output independent of ``threads``."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def evaluate_teams(cands: CandidateSet, pool: PredictionPool, corr: CorrectnessMatrix,

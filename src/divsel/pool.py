@@ -25,6 +25,7 @@ headerless CSV with one row per sample and one column per class.
 from __future__ import annotations
 
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,14 +178,37 @@ NUMBER = (int, float)
 OPTIONAL_INT = (int, type(None))
 _JSON_TYPES = {bool: "a boolean", int: "an integer", NUMBER: "a number", str: "a string",
                list: "an array", dict: "an object", OPTIONAL_INT: "an integer or null"}
+# quotes a JSON value cut short, with the arrays and objects nested in it as [...] and {...}
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 1
 
 
 def json_typed(value, kind, what: str, error: type[Exception] = ValueError):
     """``value``, which must be of the JSON type ``kind`` (a key of ``_JSON_TYPES``);
     JSON true and false are booleans, never numbers."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise error(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+        raise error(f"{what} must be {_JSON_TYPES[kind]}, got {_QUOTE.repr(value)}")
     return value
+
+
+def read_json(path: str | Path, what: str, parse, error: type[Exception]):
+    """``parse`` of the JSON value in file ``path``.  ``error`` names the ``what`` and
+    the path when the file cannot be read or decoded, or when ``parse`` finds the
+    value malformed (KeyError, OverflowError, TypeError or ValueError); a typed
+    DivselError from ``parse`` passes through."""
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise error(f"malformed {what} {path}: {exc}") from exc
+
+
+def dumps(obj) -> str:
+    """Deterministic JSON text: stable key order, trailing newline."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _field(record: dict, key: str, kind, where: str):
@@ -198,14 +222,9 @@ def load_pool(manifest_path: str | Path, probs: bool = True) -> PredictionPool:
     """Load and validate a prediction pool from a JSON manifest; with ``probs=False``
     no probability file is opened and every ``ModelRecord.probs`` is None."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise PoolError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise PoolError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json(manifest_path, "manifest",
+                         lambda data: json_typed(data, dict, "the manifest"), PoolError)
     where = f"manifest {manifest_path}"
-    json_typed(manifest, dict, where, PoolError)
     if "dataset" not in manifest:
         raise PoolError(f"{where}: missing key 'dataset'")
     base = manifest_path.parent
@@ -274,7 +293,7 @@ def write_pool(pool: PredictionPool, out_dir: str | Path) -> Path:
         "models": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(dumps(manifest))
     return manifest_path
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict
 from pathlib import Path
 
 from .errors import DivselError
 from .evaluation import SetReport
-from .pool import NUMBER, json_typed
+# dumps is re-exported: commands write their JSON output through report.dumps
+from .pool import NUMBER, dumps, json_typed, read_json  # noqa: F401
 from .selection import SelectedSet
 from .teaming import CandidateSet, parse_team
 
@@ -102,7 +102,11 @@ def selected_set_from_dict(data: dict, cands: CandidateSet) -> SelectedSet:
     """The selected set ``data`` describes, as rows of ``cands`` in the file's team
     order; ValueError when malformed, DivselError when it does not fit ``cands``."""
     json_typed(data, dict, "a selected set")
-    teams = [parse_team(json_typed(k, str, "a team"))
+    pool_size = json_typed(data["pool_size"], int, "'pool_size'")
+    if pool_size != cands.pool_size:
+        raise DivselError(f"selected set is for a pool of {pool_size} models, "
+                          f"but the pool has {cands.pool_size}")
+    teams = [parse_team(json_typed(k, str, "a team"), pool_size)
              for k in json_typed(data["teams"], list, "'teams'")]
     scores = data.get("scores")
     if scores is None:
@@ -110,11 +114,7 @@ def selected_set_from_dict(data: dict, cands: CandidateSet) -> SelectedSet:
     method = json_typed(data["method"], str, "'method'")
     scores = tuple(float(json_typed(s, NUMBER, "a score"))
                    for s in json_typed(scores, list, "'scores'"))
-    pool_size = json_typed(data["pool_size"], int, "'pool_size'")
     count = json_typed(data["num_candidates"], int, "'num_candidates'")
-    if pool_size != cands.pool_size:
-        raise DivselError(f"selected set is for a pool of {pool_size} models, "
-                          f"but the pool has {cands.pool_size}")
     if count > len(cands):
         raise DivselError(f"selected set counts {count} candidates, "
                           f"but the pool has {len(cands)}")
@@ -128,12 +128,5 @@ def selected_set_from_dict(data: dict, cands: CandidateSet) -> SelectedSet:
 
 def load_selected_set(path: str | Path, cands: CandidateSet) -> SelectedSet:
     """Read a selected-set JSON file as rows of ``cands``, the pool's candidates."""
-    try:
-        return selected_set_from_dict(json.loads(Path(path).read_text()), cands)
-    except (KeyError, OverflowError, ValueError) as exc:
-        raise DivselError(f"malformed selected-set JSON {path}: {exc}") from exc
-
-
-def dumps(obj) -> str:
-    """Deterministic JSON text: stable key order, trailing newline."""
-    return json.dumps(obj, indent=2) + "\n"
+    return read_json(path, "selected-set JSON",
+                     lambda data: selected_set_from_dict(data, cands), DivselError)

@@ -17,7 +17,6 @@ Three selection families operate on a candidate set:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .diversity import MetricId, normalize, raw_score
 from .errors import DivselError, EmptyNegativesError, RuleCoverageError
-from .pool import NUMBER, OPTIONAL_INT, CorrectnessMatrix, json_typed
+from .pool import NUMBER, OPTIONAL_INT, CorrectnessMatrix, dumps, json_typed, read_json
 from .teaming import CandidateSet, EnsembleTeam
 
 FQ_MODES = ("all", "any", "majority")
@@ -250,7 +249,7 @@ def eq_fuse(selected: list[SelectedSet]) -> SelectedSet:
 
 def rules_to_json(rules) -> str:
     """Serialize rules as a JSON array of {metric, focal, size, cutoff, keep_all} records."""
-    return json.dumps([asdict(r) for r in rules], indent=2) + "\n"
+    return dumps([asdict(r) for r in rules])
 
 
 def _rule_from_dict(rec) -> SelectionRule:
@@ -264,27 +263,23 @@ def _rule_from_dict(rec) -> SelectionRule:
     )
 
 
-def rules_from_json(text: str | bytes) -> list[SelectionRule]:
-    try:
-        records = json.loads(text)
-        return [_rule_from_dict(rec) for rec in json_typed(records, list, "the rules")]
-    except (KeyError, OverflowError, ValueError) as exc:
-        raise DivselError(f"malformed rules JSON: {exc}") from exc
-
-
-def check_rules(rules, metric: MetricId, pool_size: int) -> None:
-    """Reject stored rules of another metric or with a focal model outside the pool."""
-    for r in rules:
-        if r.metric is not metric:
-            raise DivselError(f"rules are for metric {r.metric.value}, not {metric.value}")
-        if r.focal is not None and not 0 <= r.focal < pool_size:
-            raise DivselError(f"rule focal {r.focal} is outside the pool of "
-                              f"{pool_size} models")
+def rules_from_json(records) -> list[SelectionRule]:
+    """The rules of a parsed rules JSON array; ``load_rules`` reads and checks a file."""
+    return [_rule_from_dict(rec) for rec in json_typed(records, list, "the rules")]
 
 
 def save_rules(rules, path: str | Path) -> None:
     Path(path).write_text(rules_to_json(rules))
 
 
-def load_rules(path: str | Path) -> list[SelectionRule]:
-    return rules_from_json(Path(path).read_bytes())
+def load_rules(path: str | Path, metric: MetricId, pool_size: int) -> list[SelectionRule]:
+    """The stored rules in ``path``, which must all be for ``metric`` and have their
+    focal models in a pool of ``pool_size`` models."""
+    rules = read_json(path, "rules JSON", rules_from_json, DivselError)
+    for r in rules:
+        if r.metric is not metric:
+            raise DivselError(f"rules are for metric {r.metric.value}, not {metric.value}")
+        if r.focal is not None and not 0 <= r.focal < pool_size:
+            raise DivselError(f"rule focal {r.focal} is outside the pool of "
+                              f"{pool_size} models")
+    return rules

@@ -15,14 +15,13 @@ seed via per-stream derived child seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SynthConfigError
-from .pool import NUMBER, ModelRecord, PredictionPool, build_pool, json_typed
+from .pool import NUMBER, ModelRecord, PredictionPool, build_pool, json_typed, read_json
 from .sampling import derive_seed
 
 
@@ -67,14 +66,7 @@ def config_from_dict(data: dict) -> SynthConfig:
 
 
 def load_config(path: str | Path) -> SynthConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise SynthConfigError(f"cannot read synth config {path}: {exc}") from exc
-    try:
-        return config_from_dict(data)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SynthConfigError(f"bad synth config {path}: {exc}") from exc
+    return read_json(path, "synth config", config_from_dict, SynthConfigError)
 
 
 def validate_config(cfg: SynthConfig) -> None:

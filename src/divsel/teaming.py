@@ -47,8 +47,9 @@ class EnsembleTeam:
         return "-".join(str(i) for i in self.members)
 
 
-def parse_team(text: str) -> EnsembleTeam:
-    """Parse a canonical team string ("0123" or "3-10-11")."""
+def parse_team(text: str, pool_size: int) -> EnsembleTeam:
+    """Parse a canonical team string ("0123" or "3-10-11") of a pool of
+    ``pool_size`` models."""
     text = text.strip()
     if not text:
         raise TeamLimitError("empty team string")
@@ -62,7 +63,11 @@ def parse_team(text: str) -> EnsembleTeam:
         raise TeamLimitError(f"cannot parse team string {text!r}") from exc
     if len(set(members)) != len(members):
         raise TeamLimitError(f"duplicate model id in team string {text!r}")
-    return EnsembleTeam(members)
+    team = EnsembleTeam(members)
+    if team.members[-1] >= pool_size:
+        raise TeamLimitError(f"team {team.key} references model {team.members[-1]}, "
+                             f"but the pool has only {pool_size} models")
+    return team
 
 
 @dataclass(frozen=True)

@@ -723,3 +723,47 @@ def test_selection_leaves_numpy_ma_unimported(pool_dir):
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def _json_input_argv(pool_dir, tmp_path, flag, path) -> tuple[str, list[str]]:
+    """What the JSON file of ``flag`` is called in errors, and a command line
+    that reads ``path`` as that file."""
+    manifest = str(pool_dir / "manifest.json")
+    return {"--pool": ("manifest", ["consensus", "--pool", path, "--team", "01",
+                                    "--method", "soft"]),
+            "--config": ("synth config", ["synth", "--config", path,
+                                          "--out-dir", str(tmp_path / "out")]),
+            "--rules-in": ("rules JSON", ["select", "--pool", manifest, "--method", "fq",
+                                          "--rules-in", path]),
+            "--in": ("selected-set JSON", ["report", "--pool", manifest,
+                                           "--in", path])}[flag]
+
+
+@pytest.mark.parametrize("defect", ["missing", "directory", "not-json", "wrong-type"])
+@pytest.mark.parametrize("flag", ["--pool", "--config", "--rules-in", "--in"])
+def test_json_input_errors_name_the_file(pool_dir, tmp_path, capsys, flag, defect):
+    path = tmp_path / "input.json"
+    if defect == "directory":
+        path.mkdir()
+    elif defect == "not-json":
+        path.write_bytes(b"\xff{not json")
+    elif defect == "wrong-type":  # rules are an array, every other file an object
+        path.write_text("{}" if flag == "--rules-in" else "[]")
+    what, argv = _json_input_argv(pool_dir, tmp_path, flag, str(path))
+    assert main(argv) == 1
+    shape = "malformed" if defect == "wrong-type" else "cannot read"
+    assert _one_error_line(capsys).startswith(f"error: {shape} {what} {path}: ")
+
+
+def test_error_line_quotes_a_bounded_prefix_of_a_json_value(pool_dir, tmp_path, capsys):
+    # a selected set given as stored rules: the error quotes a prefix of it,
+    # not all of its teams and scores
+    keys = [t.key for t in enumerate_teams(10)][:500]
+    selected = tmp_path / "sel.json"
+    selected.write_text(json.dumps({"method": "fq-gd-all", "pool_size": 10,
+                                    "num_candidates": 1013, "teams": keys,
+                                    "scores": [k / 7 for k in range(500)]}))
+    assert main(["select", "--pool", str(pool_dir / "manifest.json"), "--method", "fq",
+                 "--rules-in", str(selected)]) == 1
+    line = _one_error_line(capsys)
+    assert str(selected) in line and len(line) < 300, line

@@ -84,7 +84,7 @@ def _method_args(kind, ctx):
 def _independent_report(ctx, kind, label, team_keys, candidate_count):
     train = np.loadtxt(ctx["train"], dtype=np.int64) if kind == "boosting" else None
     method = ConsensusMethod(kind, train_indices=train)
-    teams = CandidateSet.of([parse_team(k) for k in team_keys], ctx["pool"].num_models)
+    teams = CandidateSet.of([parse_team(k, ctx["pool"].num_models) for k in team_keys], ctx["pool"].num_models)
     evals = evaluate_teams(teams, ctx["pool"], ctx["corr"], method)
     return set_report_to_dict(summarize(label, evals, candidate_count,
                                         float(ctx["corr"].accuracies.max())))

@@ -392,7 +392,7 @@ def test_rules_json_roundtrip():
     records = json.loads(text)
     assert records[0] == {"metric": "gd", "focal": 0, "size": 2,
                           "cutoff": 0.31, "keep_all": False}
-    again = rules_from_json(text)
+    again = rules_from_json(records)
     assert again == rules
 
 

@@ -61,19 +61,19 @@ def test_team_invariants():
         EnsembleTeam((2, 2))
     with pytest.raises(TeamLimitError):
         EnsembleTeam((3, 1))
-    t = parse_team("31")  # sorts
+    t = parse_team("31", 4)  # sorts
     assert t.members == (1, 3)
 
 
 def test_canonical_form_roundtrip_single_digit():
     for t in enumerate_teams(10):
-        assert parse_team(t.key) == t
+        assert parse_team(t.key, 10) == t
 
 
 def test_canonical_form_dashes_for_large_ids():
     t = team(3, 10, 11)
     assert t.key == "3-10-11"
-    assert parse_team(t.key) == t
+    assert parse_team(t.key, 12) == t
     assert team(0, 1).key == "01"
 
 
@@ -85,8 +85,15 @@ def test_canonical_form_injective():
 
 def test_parse_team_errors():
     with pytest.raises(TeamLimitError):
-        parse_team("")
+        parse_team("", 4)
     with pytest.raises(TeamLimitError):
-        parse_team("11")  # duplicate single-digit ids
+        parse_team("11", 4)  # duplicate single-digit ids
     with pytest.raises(TeamLimitError):
-        parse_team("ab")
+        parse_team("ab", 4)
+
+
+def test_parse_team_checks_the_pool_bound():
+    assert parse_team("0-3", 4).members == (0, 3)
+    with pytest.raises(TeamLimitError,
+                       match="team 04 references model 4, but the pool has only 4 models"):
+        parse_team("0-4", 4)
