@@ -16,11 +16,10 @@ from .errors import (CapabilityError, DivselError, EmptyNegativesError, PoolErro
 from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_teams
 from .pool import (CorrectnessMatrix, ModelRecord, PredictionPool, build_pool,
                    correctness, load_pool, write_pool)
-from .sampling import (build_negative_set, derive_seed, focal_negative_sets,
-                       negatives_all, negatives_any, negatives_focal, sample_subset)
-from .selection import (FocalScoreTable, SelectedSet, SelectionRule, eq_fuse,
-                        fq_select, learn_fq_rules, load_rules, q_select, save_rules,
-                        two_means_split)
+from .sampling import (build_negative_set, derive_seed, focal_negative_sets, negatives_any,
+                       sample_subset)
+from .selection import (FocalScoreTable, SelectedSet, SelectionRule, eq_fuse, fq_select,
+                        learn_fq_rules, load_rules, q_select, two_means_split)
 from .synth import SynthConfig, generate_pool
 from .teaming import CandidateSet, EnsembleTeam, enumerate_teams, parse_team
 

@@ -31,7 +31,7 @@ from .sampling import (DEFAULT_SAMPLE_SIZE, SCHEMES, build_negative_set,
                        focal_negative_sets, negatives_any, sample_subset)
 from .selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, SelectedSet,
                         eq_fuse, fq_select, learn_fq_rules, load_rules, q_select,
-                        save_rules)
+                        rules_to_json)
 from .synth import generate_pool, load_config
 from .teaming import CandidateSet, EnsembleTeam, enumerate_teams, parse_team
 
@@ -165,9 +165,9 @@ def cmd_select(args) -> int:
     pool, corr = _load(args)
     cands = enumerate_teams(pool.num_models, args.team_size)
     selected, rules = _select(args, cands, corr)
-    if args.rules_out:
-        save_rules(rules, args.rules_out)
     _emit(rpt.dumps(rpt.selected_set_to_dict(selected)), args.out)
+    if args.rules_out:  # after --out, so a failed command leaves no rules behind
+        _emit(rules_to_json(rules), args.rules_out)
     return 0
 
 

@@ -82,31 +82,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _read_label_file(path: Path, what: str) -> np.ndarray:
-    if not path.is_file():
-        raise PoolError(f"{what} file not found: {path}")
+def _read_table(path: Path, what: str, dtype, delimiter: str | None = None) -> np.ndarray:
+    """The rows of text file ``path`` as a 2-D array; an empty file gives no rows."""
     try:
         with warnings.catch_warnings():
-            # an empty file is rejected below; numpy's own warning would only add noise
+            # the callers reject an empty file; numpy's own warning would only add noise
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(path, dtype=np.int64, ndmin=2)
+            return np.loadtxt(path, dtype=dtype, delimiter=delimiter, ndmin=2)
+    except OSError as exc:
+        raise PoolError(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:
-        raise PoolError(f"{what} file {path}: could not parse integers ({exc})") from exc
+        kind = "integers" if delimiter is None else "CSV"
+        raise PoolError(f"{what} file {path}: could not parse {kind} ({exc})") from exc
+
+
+def _read_label_file(path: Path, what: str) -> np.ndarray:
+    values = _read_table(path, what, np.int64)
     if values.size == 0:
         raise PoolError(f"{what} file {path}: no integers")
     if values.shape[1] != 1:
         raise PoolError(f"{what} file {path}: expected one integer per line")
     return values.ravel()
-
-
-def _read_probs_file(path: Path, model_name: str) -> np.ndarray:
-    if not path.is_file():
-        raise PoolError(f"probs file for model {model_name!r} not found: {path}")
-    try:
-        probs = np.loadtxt(path, dtype=np.float64, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise PoolError(f"probs file {path}: could not parse CSV ({exc})") from exc
-    return probs
 
 
 def _check_labels(values: np.ndarray, num_classes: int, path: Path, what: str) -> None:
@@ -175,9 +171,8 @@ def build_pool(dataset_name: str, num_classes: int, labels: np.ndarray,
 
 
 NUMBER = (int, float)
-OPTIONAL_INT = (int, type(None))
 _JSON_TYPES = {bool: "a boolean", int: "an integer", NUMBER: "a number", str: "a string",
-               list: "an array", dict: "an object", OPTIONAL_INT: "an integer or null"}
+               list: "an array", dict: "an object"}
 # quotes a JSON value cut short, with the arrays and objects nested in it as [...] and {...}
 _QUOTE = reprlib.Repr()
 _QUOTE.maxlevel = 1
@@ -255,7 +250,7 @@ def load_pool(manifest_path: str | Path, probs: bool = True) -> PredictionPool:
         if entry.get("probs"):
             probs_path = base / _field(entry, "probs", str, f"{where}, model {mid}")
             if probs:
-                rows = _read_probs_file(probs_path, name)
+                rows = _read_table(probs_path, "probs", np.float64, delimiter=",")
                 _check_probs(rows, preds, num_classes, probs_path)
         models.append(ModelRecord(id=mid, name=name, pred_labels=preds, probs=rows))
 

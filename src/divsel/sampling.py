@@ -42,19 +42,6 @@ def negatives_any(corr: CorrectnessMatrix) -> np.ndarray:
     return indices
 
 
-def negatives_all(corr: CorrectnessMatrix) -> np.ndarray:
-    """Samples misclassified by every model (intersection of error sets)."""
-    mask = (corr.omega == 0).all(axis=0)
-    return np.flatnonzero(mask)
-
-
-def negatives_focal(corr: CorrectnessMatrix, focal: int) -> np.ndarray:
-    """Samples misclassified by the focal model."""
-    if focal < 0 or focal >= corr.num_models:
-        raise DivselError(f"focal model {focal} not in pool of {corr.num_models}")
-    return np.flatnonzero(corr.omega[focal] == 0)
-
-
 def sample_subset(full: np.ndarray, size: int, seed: int) -> np.ndarray:
     """Draw a uniform without-replacement subset of ``full`` of the given size.
 
@@ -86,7 +73,8 @@ def sample_subset(full: np.ndarray, size: int, seed: int) -> np.ndarray:
 
 def build_negative_set(corr: CorrectnessMatrix, scheme: str, size: int, seed: int,
                        focal: int | None = None) -> np.ndarray:
-    """Build the full negative set for a scheme and sample it in one step.
+    """Sample ``size`` of the negatives of ``scheme``: the samples missed by at least
+    one model ("any"), by every model ("all") or by model ``focal`` ("focal").
 
     ``focal`` names the focal model of the "focal" scheme and is refused
     with any other scheme.
@@ -96,11 +84,13 @@ def build_negative_set(corr: CorrectnessMatrix, scheme: str, size: int, seed: in
     if scheme == "any":
         full = negatives_any(corr)
     elif scheme == "all":
-        full = negatives_all(corr)
+        full = np.flatnonzero((corr.omega == 0).all(axis=0))
     elif scheme == "focal":
         if focal is None:
             raise DivselError("focal sampling needs a focal model id")
-        full = negatives_focal(corr, focal)
+        if not 0 <= focal < corr.num_models:
+            raise DivselError(f"focal model {focal} not in pool of {corr.num_models}")
+        full = np.flatnonzero(corr.omega[focal] == 0)
     else:
         raise DivselError(f"unknown sampling scheme {scheme!r}")
     return sample_subset(full, size, seed)

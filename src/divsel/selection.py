@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .diversity import MetricId, normalize, raw_score
-from .errors import DivselError, EmptyNegativesError, RuleCoverageError
-from .pool import NUMBER, OPTIONAL_INT, CorrectnessMatrix, dumps, json_typed, read_json
+from .diversity import MetricId, diversity_score, normalize, raw_score
+from .errors import DivselError, RuleCoverageError
+from .pool import NUMBER, CorrectnessMatrix, dumps, json_typed, read_json
 from .teaming import CandidateSet, EnsembleTeam
 
 FQ_MODES = ("all", "any", "majority")
@@ -101,9 +101,7 @@ def q_select(metric: MetricId, cands: CandidateSet, corr: CorrectnessMatrix,
     the arithmetic mean of all scores, and exactly the teams scoring
     strictly below it are kept.
     """
-    if len(neg) == 0:
-        raise EmptyNegativesError("cannot select on an empty negative set")
-    scores = normalize(metric, raw_score(metric, corr.omega[:, neg], cands.members))
+    scores = normalize(metric, diversity_score(metric, cands.members, corr, neg))
     threshold, keep = mean_threshold(scores)
     selected = SelectedSet(method=f"q-{metric.value}", cands=cands,
                            rows=tuple(np.flatnonzero(keep).tolist()),
@@ -212,7 +210,7 @@ def fq_select(metric: MetricId, cands: CandidateSet, rules,
     """
     if mode not in FQ_MODES:
         raise ValueError(f"unknown fq mode {mode!r} (expected one of {FQ_MODES})")
-    rule_of = {(r.focal, r.size): r for r in rules if r.focal is not None}
+    rule_of = {(r.focal, r.size): r for r in rules}
     keep = np.zeros(cands.members.shape, dtype=bool)
     for focal, size, cell in rule_cells(cands):
         rule = rule_of.get((focal, size))
@@ -256,30 +254,30 @@ def _rule_from_dict(rec) -> SelectionRule:
     json_typed(rec, dict, "a rule")
     return SelectionRule(
         metric=MetricId.parse(json_typed(rec["metric"], str, "'metric'")),
-        focal=json_typed(rec.get("focal"), OPTIONAL_INT, "'focal'"),
-        size=json_typed(rec.get("size"), OPTIONAL_INT, "'size'"),
+        focal=json_typed(rec.get("focal"), int, "'focal'"),
+        size=json_typed(rec.get("size"), int, "'size'"),
         cutoff=float(json_typed(rec["cutoff"], NUMBER, "'cutoff'")),
         keep_all=json_typed(rec.get("keep_all", False), bool, "'keep_all'"),
     )
 
 
-def rules_from_json(records) -> list[SelectionRule]:
-    """The rules of a parsed rules JSON array; ``load_rules`` reads and checks a file."""
-    return [_rule_from_dict(rec) for rec in json_typed(records, list, "the rules")]
-
-
-def save_rules(rules, path: str | Path) -> None:
-    Path(path).write_text(rules_to_json(rules))
-
-
 def load_rules(path: str | Path, metric: MetricId, pool_size: int) -> list[SelectionRule]:
-    """The stored rules in ``path``, which must all be for ``metric`` and have their
-    focal models in a pool of ``pool_size`` models."""
-    rules = read_json(path, "rules JSON", rules_from_json, DivselError)
+    """The stored fq rules in ``path``: each is for ``metric``, names a focal model of
+    a pool of ``pool_size`` models and a team size in 2..``pool_size``, and no two
+    share a (focal, size) cell."""
+    rules = read_json(path, "rules JSON", lambda records: [
+        _rule_from_dict(rec) for rec in json_typed(records, list, "the rules")], DivselError)
     for r in rules:
         if r.metric is not metric:
             raise DivselError(f"rules are for metric {r.metric.value}, not {metric.value}")
-        if r.focal is not None and not 0 <= r.focal < pool_size:
+        if not 0 <= r.focal < pool_size:
             raise DivselError(f"rule focal {r.focal} is outside the pool of "
                               f"{pool_size} models")
+    cells = set()
+    for r in rules:  # after the focal check, so a rule of another pool is named as such
+        if not 2 <= r.size <= pool_size:
+            raise DivselError(f"rule team size {r.size} is outside 2..{pool_size}")
+        if (r.focal, r.size) in cells:
+            raise DivselError(f"two rules for focal {r.focal}, team size {r.size}")
+        cells.add((r.focal, r.size))
     return rules

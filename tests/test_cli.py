@@ -612,7 +612,8 @@ def test_stored_rules_must_cover_every_rule_cell(pool_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("keep_all", "false"), ("keep_all", 0),
                                         ("cutoff", "0.5"), ("cutoff", True),
-                                        ("focal", True), ("size", 3.0)])
+                                        ("focal", True), ("size", 3.0),
+                                        ("focal", None), ("size", None)])
 def test_rules_field_types(pool_dir, tmp_path, capsys, key, value):
     # bool("false") is True, so a string keep_all would keep every team
     manifest = str(pool_dir / "manifest.json")
@@ -624,6 +625,69 @@ def test_rules_field_types(pool_dir, tmp_path, capsys, key, value):
     assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
                  "--rules-in", str(rules)]) == 1
     assert repr(key) in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("extra, error", [
+    ({"focal": 0, "size": 2, "cutoff": -1.0}, "two rules for focal 0, team size 2"),
+    ({"focal": 1, "size": 9, "cutoff": 0.5}, "rule team size 9 is outside 2..5"),
+    ({"focal": 1, "size": 1, "cutoff": 0.5}, "rule team size 1 is outside 2..5"),
+])
+def test_stored_rules_name_each_cell_once_with_a_team_size_of_the_pool(
+        pool_dir, tmp_path, capsys, extra, error):
+    # fq_select would keep the last of two rules for one cell without a word
+    manifest = str(pool_dir / "manifest.json")
+    rules = tmp_path / "rules.json"
+    assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+                 "--rules-out", str(rules), "--out", str(tmp_path / "sel.json")]) == 0
+    recs = json.loads(rules.read_text())
+    rules.write_text(json.dumps(recs + [{**recs[0], **extra}]))
+    assert main(["select", "--pool", manifest, "--method", "fq", "--metric", "gd",
+                 "--rules-in", str(rules)]) == 1
+    assert _one_error_line(capsys) == f"error: {error}"
+
+
+def test_select_writes_no_rules_when_its_output_fails(pool_dir, tmp_path, capsys):
+    rules, out = tmp_path / "rules.json", tmp_path / "outdir"
+    out.mkdir()
+    assert main(["select", "--pool", str(pool_dir / "manifest.json"), "--method", "fq",
+                 "--metric", "gd", "--rules-out", str(rules), "--out", str(out)]) == 1
+    _one_error_line(capsys)
+    assert not rules.exists()
+
+
+def test_empty_probability_file_prints_one_error_line(pool_dir):
+    # np.loadtxt warns on an empty file; run a real process, whose warnings print
+    (pool_dir / "probs-empty.csv").write_text("")
+    path = _bad_manifest(pool_dir, "probs-empty",
+                         lambda d: d["models"][0].update(probs="probs-empty.csv"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "divsel.cli", "consensus", "--pool", str(path),
+                           "--team", "01", "--method", "soft"],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"error: probs file {pool_dir / 'probs-empty.csv'}: "
+                           "expected shape (800, 6), got (0, 1)\n")
+
+
+@pytest.mark.parametrize("what", ["labels", "pred_labels", "probs", "train-indices"])
+def test_a_directory_as_a_text_input_cannot_be_read(pool_dir, tmp_path, capsys, what):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = ["consensus", "--pool", str(pool_dir / "manifest.json"), "--team", "01",
+            "--method", "boosting"]
+    name = {"labels": "labels", "pred_labels": "pred_labels of model 0",
+            "probs": "probs", "train-indices": "train-indices"}[what]
+    if what == "train-indices":
+        argv += ["--train-indices", str(folder)]
+    else:
+        update = {"labels": lambda d: d.update(labels=str(folder)),
+                  "pred_labels": lambda d: d["models"][0].update(pred_labels=str(folder)),
+                  "probs": lambda d: d["models"][0].update(probs=str(folder))}[what]
+        argv[2] = str(_bad_manifest(pool_dir, f"dir-{what}", update))
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == (f"error: cannot read {name} file {folder}: "
+                                       f"[Errno 21] Is a directory: '{folder}'")
 
 
 @pytest.mark.parametrize("key, value", [("pool_size", 5.9), ("pool_size", True),
@@ -650,8 +714,8 @@ def _unread_probs_manifest(pool_dir, defect):
         error = (f"error: probs file {pool_dir / 'probs-nan-row.csv'}, row 3: "
                  "entry nan outside [0, 1]")
     else:
-        error = (f"error: probs file for model 'synth_0' not found: "
-                 f"{pool_dir / 'probs-missing.csv'}")
+        missing = pool_dir / "probs-missing.csv"
+        error = f"error: cannot read probs file {missing}: {missing} not found."
     path = _bad_manifest(pool_dir, f"probs-{defect}",
                          lambda d: d["models"][0].update(probs=f"probs-{defect}.csv"))
     return str(path), error

@@ -19,6 +19,7 @@ import platform
 import shlex
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -36,7 +37,9 @@ def _sha(data: bytes) -> str:
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps help text to the terminal width, which it reads from COLUMNS
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors

@@ -70,7 +70,7 @@ def test_missing_file(tmp_path):
     path = write_manifest(tmp_path, labels=[0, 1],
                           pred_rows=[[0, 1], [1, 1]], num_classes=2)
     (tmp_path / "m1_pred.txt").unlink()
-    with pytest.raises(PoolError, match="not found"):
+    with pytest.raises(PoolError, match="^cannot read pred_labels of model 1 file "):
         load_pool(path)
 
 
@@ -193,7 +193,7 @@ def test_load_without_probs_reads_labels_only(tmp_path):
     (tmp_path / "m0_probs.csv").unlink()
     (tmp_path / "m2_probs.csv").write_text("not,a,csv\n")
     load_pool(path, probs=False)
-    with pytest.raises(PoolError, match="not found"):
+    with pytest.raises(PoolError, match="^cannot read probs file "):
         load_pool(path)
 
 

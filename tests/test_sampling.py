@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from divsel.errors import EmptyNegativesError
+from divsel.errors import DivselError, EmptyNegativesError
 from divsel.pool import CorrectnessMatrix
-from divsel.sampling import (derive_seed, focal_negative_sets, negatives_all,
-                             negatives_any, negatives_focal, sample_subset)
+from divsel.sampling import (build_negative_set, derive_seed, focal_negative_sets,
+                             negatives_any, sample_subset)
 
 from conftest import FIXTURE_WI, FIXTURE_WJ
 
@@ -31,17 +31,27 @@ def test_negatives_any_empty_raises():
         negatives_any(corr_from([[1, 1], [1, 1]]))
 
 
+def full_set(corr, scheme, focal=None):
+    """The whole negative set of a scheme: a sample size of at least N keeps every index."""
+    return build_negative_set(corr, scheme, corr.omega.shape[1], seed=0, focal=focal)
+
+
 def test_negatives_all_intersection():
-    assert negatives_all(corr_from([[1, 0], [0, 1]])).size == 0
-    np.testing.assert_array_equal(negatives_all(corr_from([[0, 0], [0, 1]])), [0])
-    np.testing.assert_array_equal(negatives_all(FIXTURE_CORR), [5, 7])
+    with pytest.raises(EmptyNegativesError):
+        full_set(corr_from([[1, 0], [0, 1]]), "all")
+    np.testing.assert_array_equal(full_set(corr_from([[0, 0], [0, 1]]), "all"), [0])
+    np.testing.assert_array_equal(full_set(FIXTURE_CORR, "all"), [5, 7])
 
 
 def test_negatives_focal():
-    np.testing.assert_array_equal(negatives_focal(FIXTURE_CORR, 0), [4, 5, 7])
-    assert negatives_focal(corr_from([[1, 1], [0, 1]]), 0).size == 0
+    np.testing.assert_array_equal(full_set(FIXTURE_CORR, "focal", 0), [4, 5, 7])
+    with pytest.raises(EmptyNegativesError):
+        full_set(corr_from([[1, 1], [0, 1]]), "focal", 0)
     np.testing.assert_array_equal(
-        negatives_focal(corr_from([[0, 0, 0], [1, 1, 1]]), 0), [0, 1, 2])
+        full_set(corr_from([[0, 0, 0], [1, 1, 1]]), "focal", 0), [0, 1, 2])
+    for focal in (-1, 2):
+        with pytest.raises(DivselError, match=f"focal model {focal} not in pool of 2"):
+            full_set(FIXTURE_CORR, "focal", focal)
 
 
 def test_sample_subset_clamps_to_full_set():
@@ -93,9 +103,11 @@ def test_scheme_nesting_property():
     for _ in range(30):
         corr = corr_from(rng.integers(0, 2, size=(4, 25)))
         anyset = set(np.flatnonzero((corr.omega == 0).any(axis=0)))
-        allset = set(negatives_all(corr))
+        allset = set(np.flatnonzero((corr.omega == 0).all(axis=0)))
+        if allset:
+            assert set(full_set(corr, "all")) == allset
         for focal in range(4):
-            focset = set(negatives_focal(corr, focal))
+            focset = set(full_set(corr, "focal", focal))
             assert allset <= focset <= anyset
 
 

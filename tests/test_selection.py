@@ -11,7 +11,7 @@ from divsel.pool import CorrectnessMatrix, correctness
 from divsel.sampling import focal_negative_sets, sample_subset
 from divsel.selection import (DEFAULT_EQ_METRICS, FQ_MODES, FocalScoreTable, SelectedSet,
                               SelectionRule, eq_fuse, fq_select, learn_fq_rules,
-                              mean_threshold, q_select, rules_from_json, rules_to_json,
+                              load_rules, mean_threshold, q_select, rules_to_json,
                               two_means_split)
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
 from divsel.teaming import enumerate_teams
@@ -381,19 +381,22 @@ def test_eq_fuse_input_validation():
 
 # -------------------------------------------------------------- rules i/o
 
-def test_rules_json_roundtrip():
+def test_rules_json_roundtrip(tmp_path):
     rules = [
         SelectionRule(metric=MetricId.GD, cutoff=0.31, focal=0, size=2),
         SelectionRule(metric=MetricId.GD, cutoff=0.42, focal=1, size=3,
                       keep_all=True),
-        SelectionRule(metric=MetricId.CK, cutoff=0.5),
     ]
-    text = rules_to_json(rules)
-    records = json.loads(text)
+    path = tmp_path / "rules.json"
+    path.write_text(rules_to_json(rules))
+    records = json.loads(path.read_text())
     assert records[0] == {"metric": "gd", "focal": 0, "size": 2,
                           "cutoff": 0.31, "keep_all": False}
-    again = rules_from_json(records)
-    assert again == rules
+    assert load_rules(path, MetricId.GD, pool_size=3) == rules
+    # a mean-threshold rule has no cell: its focal and size are written as null
+    q_rule = SelectionRule(metric=MetricId.CK, cutoff=0.5)
+    assert json.loads(rules_to_json([q_rule])) == [
+        {"metric": "ck", "focal": None, "size": None, "cutoff": 0.5, "keep_all": False}]
 
 
 def test_rule_cutoff_must_be_finite():
