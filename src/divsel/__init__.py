@@ -14,8 +14,8 @@ from .diversity import (MetricId, agreement_counts, binary_disagreement, cohens_
 from .errors import (CapabilityError, DivselError, EmptyNegativesError, PoolError,
                      RuleCoverageError, SynthConfigError, TeamLimitError)
 from .evaluation import SetReport, TeamEvaluation, evaluate_set, evaluate_teams
-from .pool import (CorrectnessMatrix, ModelRecord, PredictionPool, build_pool,
-                   correctness, load_pool, write_pool)
+from .pool import (CorrectnessMatrix, PredictionPool, build_pool, correctness, load_pool,
+                   write_pool)
 from .sampling import (build_negative_set, derive_seed, focal_negative_sets, negatives_any,
                        sample_subset)
 from .selection import (FocalScoreTable, SelectedSet, SelectionRule, eq_fuse, fq_select,

@@ -38,23 +38,18 @@ PROB_ROW_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class ModelRecord:
-    """One base model's recorded predictions."""
-
-    id: int
-    name: str
-    pred_labels: np.ndarray
-    probs: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class PredictionPool:
-    """Validated predictions of M >= 2 models on one evaluation set."""
+    """Validated predictions of M >= 2 models on one evaluation set: read-only
+    stacks ``preds`` (M x N) and class-major ``probs`` (M x C x N, None when no
+    probability file was read), whose slab i is meaningful only if ``has_probs[i]``."""
 
     dataset_name: str
     num_classes: int
     labels: np.ndarray
-    models: tuple[ModelRecord, ...]
+    names: tuple[str, ...]
+    preds: np.ndarray
+    probs: np.ndarray | None
+    has_probs: np.ndarray
 
     @property
     def num_samples(self) -> int:
@@ -62,7 +57,7 @@ class PredictionPool:
 
     @property
     def num_models(self) -> int:
-        return len(self.models)
+        return int(self.preds.shape[0])
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,9 @@ def _check_labels(values: np.ndarray, num_classes: int, path: Path, what: str) -
         )
 
 
-def _check_probs(probs: np.ndarray, pred_labels: np.ndarray, num_classes: int,
-                 path: Path) -> None:
+def _read_probs(path: Path, pred_labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """The N x C rows of probability file ``path``, checked against the model's labels."""
+    probs = _read_table(path, "probs", np.float64, delimiter=",")
     n = pred_labels.shape[0]
     if probs.shape != (n, num_classes):
         raise PoolError(
@@ -145,29 +141,32 @@ def _check_probs(probs: np.ndarray, pred_labels: np.ndarray, num_classes: int,
             f"probs file {path}, row {row}: argmax class {int(arg[row])} "
             f"does not match predicted label {int(pred_labels[row])}"
         )
+    return probs
 
 
-def build_pool(dataset_name: str, num_classes: int, labels: np.ndarray,
-               models: list[ModelRecord]) -> PredictionPool:
-    """Assemble a pool from in-memory arrays and freeze them.
+def build_pool(dataset_name: str, num_classes: int, labels: np.ndarray, preds: np.ndarray,
+               probs: np.ndarray | None = None, names=None,
+               has_probs: np.ndarray | None = None) -> PredictionPool:
+    """Assemble a pool from in-memory stacks and freeze them: ``preds`` M x N and
+    ``probs`` M x C x N or None; ``names`` default to ``model_<i>`` and
+    ``has_probs`` to whether ``probs`` is given.
 
     Callers pass arrays whose shapes and ranges they have checked:
     ``load_pool`` checks each file with its path and row, and ``synth``
-    its config through ``validate_config``.  Only the model ids are
+    its config through ``validate_config``.  Only the model count is
     checked here.
     """
-    if len(models) < 2:
-        raise PoolError(f"pool needs at least 2 models, got {len(models)}")
-    ids = [m.id for m in models]
-    if sorted(ids) != list(range(len(models))):
-        raise PoolError(f"model ids must be 0..{len(models) - 1} and unique, got {ids}")
-    ordered = sorted(models, key=lambda m: m.id)
-    for m in ordered:
-        _freeze(m.pred_labels)
-        if m.probs is not None:
-            _freeze(m.probs)
-    return PredictionPool(dataset_name, num_classes,
-                          _freeze(np.asarray(labels, dtype=np.int64)), tuple(ordered))
+    preds = _freeze(np.asarray(preds, dtype=np.int64))
+    if len(preds) < 2:
+        raise PoolError(f"pool needs at least 2 models, got {len(preds)}")
+    if probs is not None:
+        probs = _freeze(np.ascontiguousarray(probs, dtype=np.float64))
+    return PredictionPool(
+        dataset_name, num_classes, _freeze(np.asarray(labels, dtype=np.int64)),
+        tuple(f"model_{i}" for i in range(len(preds))) if names is None else tuple(names),
+        preds, probs,
+        _freeze(np.full(len(preds), probs is not None) if has_probs is None
+                else np.array(has_probs, dtype=bool)))
 
 
 NUMBER = (int, float)
@@ -215,7 +214,7 @@ def _field(record: dict, key: str, kind, where: str):
 
 def load_pool(manifest_path: str | Path, probs: bool = True) -> PredictionPool:
     """Load and validate a prediction pool from a JSON manifest; with ``probs=False``
-    no probability file is opened and every ``ModelRecord.probs`` is None."""
+    no probability file is opened and ``PredictionPool.probs`` is None."""
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path, "manifest",
                          lambda data: json_typed(data, dict, "the manifest"), PoolError)
@@ -232,29 +231,40 @@ def load_pool(manifest_path: str | Path, probs: bool = True) -> PredictionPool:
     _check_labels(labels, num_classes, labels_path, "labels")
     n = labels.shape[0]
 
-    models: list[ModelRecord] = []
-    for pos, entry in enumerate(_field(manifest, "models", list, where)):
+    entries = _field(manifest, "models", list, where)
+    ids = []
+    for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise PoolError(f"{where}: model entry {pos} is not an object")
-        mid = _field(entry, "id", int, f"{where}, model entry {pos}")
-        name = str(entry.get("name", f"model_{mid}"))
+        ids.append(_field(entry, "id", int, f"{where}, model entry {pos}"))
+    # checked before any id indexes a stack: a negative id would wrap around silently
+    if sorted(ids) != list(range(len(ids))):
+        raise PoolError(f"model ids must be 0..{len(ids) - 1} and unique, got {ids}")
+
+    names, has_probs = [""] * len(ids), np.zeros(len(ids), dtype=bool)
+    preds = np.empty((len(ids), n), dtype=np.int64)
+    stack = (np.zeros((len(ids), num_classes, n))
+             if probs and any(entry.get("probs") for entry in entries) else None)
+    for entry, mid in zip(entries, ids):
+        names[mid] = str(entry.get("name", f"model_{mid}"))
         pred_path = base / _field(entry, "pred_labels", str, f"{where}, model {mid}")
-        preds = _read_label_file(pred_path, f"pred_labels of model {mid}")
-        if preds.shape[0] != n:
+        row = _read_label_file(pred_path, f"pred_labels of model {mid}")
+        if row.shape[0] != n:
             raise PoolError(
-                f"pred_labels file {pred_path} (model {mid}): {preds.shape[0]} rows "
+                f"pred_labels file {pred_path} (model {mid}): {row.shape[0]} rows "
                 f"but labels file {labels_path} has {n}"
             )
-        _check_labels(preds, num_classes, pred_path, f"pred_labels of model {mid}")
-        rows = None
+        _check_labels(row, num_classes, pred_path, f"pred_labels of model {mid}")
+        preds[mid] = row
         if entry.get("probs"):
             probs_path = base / _field(entry, "probs", str, f"{where}, model {mid}")
             if probs:
-                rows = _read_table(probs_path, "probs", np.float64, delimiter=",")
-                _check_probs(rows, preds, num_classes, probs_path)
-        models.append(ModelRecord(id=mid, name=name, pred_labels=preds, probs=rows))
+                # the file's N x C rows are freed before the next file is read
+                stack[mid] = _read_probs(probs_path, row, num_classes).T
+                has_probs[mid] = True
 
-    return build_pool(str(manifest["dataset"]), num_classes, labels, models)
+    return build_pool(str(manifest["dataset"]), num_classes, labels, preds, stack, names,
+                      has_probs)
 
 
 def write_pool(pool: PredictionPool, out_dir: str | Path) -> Path:
@@ -264,38 +274,32 @@ def write_pool(pool: PredictionPool, out_dir: str | Path) -> Path:
     with 17 significant digits so float64 values survive the text form.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    labels_file = "labels.txt"
-    np.savetxt(out_dir / labels_file, pool.labels, fmt="%d")
-    entries = []
-    for m in pool.models:
-        pred_file = f"model_{m.id}_pred.txt"
-        np.savetxt(out_dir / pred_file, m.pred_labels, fmt="%d")
-        probs_file = None
-        if m.probs is not None:
-            probs_file = f"model_{m.id}_probs.csv"
-            np.savetxt(out_dir / probs_file, m.probs, fmt="%.17g", delimiter=",")
-        entries.append({
-            "id": m.id,
-            "name": m.name,
-            "pred_labels": pred_file,
-            "probs": probs_file,
-        })
-    manifest = {
-        "dataset": pool.dataset_name,
-        "num_classes": pool.num_classes,
-        "labels": labels_file,
-        "models": entries,
-    }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(dumps(manifest))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        labels_file = "labels.txt"
+        np.savetxt(out_dir / labels_file, pool.labels, fmt="%d")
+        entries = []
+        for i, name in enumerate(pool.names):
+            pred_file = f"model_{i}_pred.txt"
+            np.savetxt(out_dir / pred_file, pool.preds[i], fmt="%d")
+            probs_file = None
+            if pool.has_probs[i]:
+                probs_file = f"model_{i}_probs.csv"
+                np.savetxt(out_dir / probs_file, pool.probs[i].T, fmt="%.17g",
+                           delimiter=",")
+            entries.append({"id": i, "name": name, "pred_labels": pred_file,
+                            "probs": probs_file})
+        manifest = {"dataset": pool.dataset_name, "num_classes": pool.num_classes,
+                    "labels": labels_file, "models": entries}
+        manifest_path = out_dir / "manifest.json"
+        manifest_path.write_text(dumps(manifest))
+    except OSError as exc:
+        raise PoolError(f"cannot write pool {exc.filename or out_dir}: {exc}") from exc
     return manifest_path
 
 
 def correctness(pool: PredictionPool) -> CorrectnessMatrix:
     """Derive the binary correctness matrix and per-model accuracies."""
-    omega = np.stack([
-        (m.pred_labels == pool.labels).astype(np.uint8) for m in pool.models
-    ])
+    omega = (pool.preds == pool.labels).astype(np.uint8)
     accuracies = omega.mean(axis=1)
     return CorrectnessMatrix(omega=_freeze(omega), accuracies=_freeze(accuracies))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SynthConfigError
-from .pool import NUMBER, ModelRecord, PredictionPool, build_pool, json_typed, read_json
+from .pool import NUMBER, PredictionPool, build_pool, json_typed, read_json
 from .sampling import derive_seed
 
 
@@ -106,16 +106,6 @@ def _wrong_labels(rng: np.random.Generator, true_labels: np.ndarray,
     return (true_labels + offsets) % num_classes
 
 
-def _prob_rows(rng: np.random.Generator, preds: np.ndarray, num_classes: int,
-               num_samples: int) -> np.ndarray:
-    top = 0.5 + rng.random(num_samples) * 0.5
-    if num_classes == 1:
-        return np.ones((num_samples, 1))
-    rows = np.repeat(((1.0 - top) / (num_classes - 1))[:, None], num_classes, axis=1)
-    rows[np.arange(num_samples), preds] = top
-    return rows
-
-
 def generate_pool(cfg: SynthConfig) -> PredictionPool:
     """Generate a probability-carrying pool per the config, deterministically."""
     validate_config(cfg)
@@ -132,7 +122,8 @@ def generate_pool(cfg: SynthConfig) -> PredictionPool:
             overlap_of[member] = g.overlap
             hard_order[member] = order
 
-    models = []
+    preds = np.empty((m, n), dtype=np.int64)
+    probs = np.empty((m, c, n))
     for i in range(m):
         rng = np.random.default_rng(derive_seed(cfg.seed, i + 1))
         budget = round((1.0 - cfg.accuracies[i]) * n)
@@ -144,11 +135,13 @@ def generate_pool(cfg: SynthConfig) -> PredictionPool:
             errors = np.concatenate([shared, rest]).astype(np.int64)
         else:
             errors = rng.choice(n, size=budget, replace=False)
-        preds = labels.copy()
+        preds[i] = labels
         if errors.size:
-            preds[errors] = _wrong_labels(rng, labels[errors], c)
-        probs = _prob_rows(rng, preds, c, n)
-        models.append(ModelRecord(id=i, name=f"synth_{i}", pred_labels=preds,
-                                  probs=probs))
+            preds[i, errors] = _wrong_labels(rng, labels[errors], c)
+        # mass top on the predicted class and the rest spread evenly; one class takes all
+        top = 0.5 + rng.random(n) * 0.5 if c > 1 else np.ones(n)
+        probs[i] = (1.0 - top) / max(c - 1, 1)
+        probs[i, preds[i], np.arange(n)] = top
 
-    return build_pool(cfg.dataset_name, c, labels, models)
+    return build_pool(cfg.dataset_name, c, labels, preds, probs,
+                      [f"synth_{i}" for i in range(m)])

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from divsel.diversity import raw_score
-from divsel.pool import ModelRecord, build_pool
+from divsel.pool import build_pool
 from divsel.teaming import EnsembleTeam
 
 # shared 10-sample correctness fixture used across the metric tests
@@ -53,30 +53,30 @@ def write_manifest(tmp_path, labels, pred_rows, probs_rows=None, num_classes=Non
     return path
 
 
+def pool_from_votes(vote_rows, num_classes, dataset="votes"):
+    """Build a labels-only pool whose model i casts ``vote_rows[i]``; ground truth
+    is all-zeros."""
+    rows = np.asarray(vote_rows, dtype=np.int64)
+    return build_pool(dataset, num_classes, np.zeros(rows.shape[1], dtype=np.int64), rows,
+                      names=[f"m{i}" for i in range(len(rows))])
+
+
 def pool_from_correctness(rows, num_classes=2):
     """Build a pool whose correctness matrix equals the given binary rows.
 
     Ground truth is all-zeros; a wrong prediction is class 1.
     """
-    rows = np.asarray(rows)
-    n = rows.shape[1]
-    labels = np.zeros(n, dtype=np.int64)
-    models = [
-        ModelRecord(id=i, name=f"m{i}",
-                    pred_labels=np.where(rows[i] == 1, 0, 1).astype(np.int64))
-        for i in range(rows.shape[0])
-    ]
-    return build_pool("from-correctness", num_classes, labels, models)
+    return pool_from_votes(np.where(np.asarray(rows) == 1, 0, 1), num_classes,
+                           "from-correctness")
 
 
-def pool_from_probs(labels, prob_matrices, num_classes, dataset="probs"):
-    labels = np.asarray(labels, dtype=np.int64)
-    models = []
-    for i, probs in enumerate(prob_matrices):
-        probs = np.asarray(probs, dtype=np.float64)
-        preds = probs.argmax(axis=1).astype(np.int64)
-        models.append(ModelRecord(id=i, name=f"m{i}", pred_labels=preds, probs=probs))
-    return build_pool(dataset, num_classes, labels, models)
+def pool_from_probs(labels, prob_matrices, num_classes, dataset="probs", labels_only=False):
+    """Build a pool from one N x C probability matrix per model, each predicting its
+    rows' argmax; with ``labels_only`` the pool keeps the predictions only."""
+    mats = np.asarray(prob_matrices, dtype=np.float64)
+    return build_pool(dataset, num_classes, labels, mats.argmax(axis=2),
+                      None if labels_only else mats.transpose(0, 2, 1),
+                      [f"m{i}" for i in range(len(mats))])
 
 
 @pytest.fixture

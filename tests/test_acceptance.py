@@ -24,7 +24,8 @@ from divsel.selection import (FocalScoreTable, eq_fuse, fq_select, learn_fq_rule
 from divsel.synth import CorrelationGroup, SynthConfig, generate_pool
 from divsel.teaming import enumerate_teams
 
-from conftest import FIXTURE_WI, FIXTURE_WJ, pool_from_probs, team, team_score
+from conftest import (FIXTURE_WI, FIXTURE_WJ, pool_from_probs, pool_from_votes, team,
+                      team_score)
 from oracles import o_raw
 
 # synthetic stand-in for a 10-model pool: per-model target accuracies with
@@ -150,16 +151,12 @@ def test_criterion_5_selection_quality_trend():
 
 def test_criterion_6_consensus_invariants():
     # majority => plurality agreement on 1e5 random vote vectors
-    from divsel.pool import ModelRecord, build_pool
     rng = np.random.default_rng(606)
     checked = 0
     agree = True
     for s in (2, 3, 5, 8):
         votes = rng.integers(0, 10, size=(s, 25000))
-        labels = np.zeros(25000, dtype=np.int64)
-        models = [ModelRecord(id=i, name=f"m{i}", pred_labels=votes[i])
-                  for i in range(s)]
-        pool = build_pool("votes", 10, labels, models)
+        pool = pool_from_votes(votes, 10)
         t = team(*range(s))
         maj = predict(t, pool, ConsensusMethod("majority")).labels
         plu = predict(t, pool, ConsensusMethod("plurality")).labels
@@ -174,7 +171,7 @@ def test_criterion_6_consensus_invariants():
     clones = pool_from_probs(labels, [probs, probs.copy(), probs.copy()],
                              num_classes=10)
     soft_same = bool((predict(team(0, 1, 2), clones, ConsensusMethod("soft")).labels
-                      == clones.models[0].pred_labels).all())
+                      == clones.preds[0]).all())
 
     # boosting: hand value, sum contract, uniform-weight equivalence on the
     # training samples every member gets right
@@ -185,7 +182,7 @@ def test_criterion_6_consensus_invariants():
 
     pool10 = _pool10(seed=606, num_samples=1000)
     t10 = team(0, 3, 5, 7)
-    right = np.flatnonzero(np.all([pool10.models[i].pred_labels == pool10.labels
+    right = np.flatnonzero(np.all([pool10.preds[i] == pool10.labels
                                    for i in t10.members], axis=0))
     boosting = ConsensusMethod("boosting", train_indices=right)
     boost_soft_ok = bool(

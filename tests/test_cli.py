@@ -249,6 +249,41 @@ def test_malformed_manifest_exits_1(pool_dir, capsys, name, mutate):
     assert err.startswith("error: manifest") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, ids", [
+    ("repeated", [0, 0, 2, 3, 4]),
+    ("skipped", [0, 1, 2, 4, 5]),
+    ("negative", [0, 1, 2, 3, -1]),
+    ("too-large", [0, 1, 2, 3, 9]),
+])
+def test_manifest_model_ids_must_be_a_permutation(pool_dir, capsys, name, ids):
+    # each id indexes a stacked row: none may wrap around or fall outside the stack
+    def renumber(doc):
+        for entry, mid in zip(doc["models"], ids):
+            entry["id"] = mid
+    path = _bad_manifest(pool_dir, f"ids-{name}", renumber)
+    for method in ("soft", "majority"):
+        assert main(["consensus", "--pool", str(path), "--team", "01",
+                     "--method", method]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: model ids must be 0..4 and unique, got {ids}")
+
+
+@pytest.mark.parametrize("blocker", ["out-dir", "manifest.json"])
+def test_synth_names_the_pool_path_it_cannot_write(tmp_path, capsys, blocker):
+    # a file where the output directory goes, or a directory where a pool file goes
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SYNTH_CONFIG))
+    out = tmp_path / "p"
+    if blocker == "out-dir":
+        out.write_text("")
+        path = out
+    else:
+        path = out / blocker
+        path.mkdir(parents=True)
+    assert main(["synth", "--config", str(config), "--out-dir", str(out)]) == 1
+    assert _one_error_line(capsys).startswith(f"error: cannot write pool {path}: ")
+
+
 def test_rules_in_must_match_metric_and_pool(pool_dir, tmp_path, capsys):
     manifest = str(pool_dir / "manifest.json")
     rules = tmp_path / "rules.json"

@@ -132,7 +132,7 @@ def test_recommend_selected_set_matches_independent_evaluation(pool5, kind, thre
 def test_boosting_vote_same_with_walked_weights(pool5):
     """Closed-form boosting weights vote as walked weights do on every candidate."""
     pool = pool5["pool"]
-    preds = [m.pred_labels.tolist() for m in pool.models]
+    preds = pool.preds.tolist()
     labels = pool.labels.tolist()
     fixture_train = np.loadtxt(pool5["train"], dtype=np.int64)
     for train in (fixture_train, None):
@@ -141,7 +141,7 @@ def test_boosting_vote_same_with_walked_weights(pool5):
         for t in enumerate_teams(5):
             walked = o_boosting_weights([preds[i] for i in t.members], labels, walk_train,
                                         DEFAULT_GAMMA)
-            probs = [pool.models[i].probs.tolist() for i in t.members]
+            probs = [pool.probs[i].T.tolist() for i in t.members]
             assert predict(t, pool, method).labels.tolist() == o_boosting_vote(probs, walked)
 
 

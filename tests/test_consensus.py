@@ -9,23 +9,13 @@ from divsel.consensus import (ABSTAIN, ConsensusMethod, EnsemblePrediction,
                               boosting_weights, ensemble_accuracy, predict)
 from divsel.errors import CapabilityError, DivselError
 
-from conftest import pool_from_correctness, pool_from_probs, team
+from conftest import pool_from_correctness, pool_from_probs, pool_from_votes, team
 from oracles import o_boosting_weights
 
 SOFT = ConsensusMethod("soft")
 MAJORITY = ConsensusMethod("majority")
 PLURALITY = ConsensusMethod("plurality")
 BOOSTING = ConsensusMethod("boosting")
-
-
-def votes_pool(vote_rows, num_classes):
-    """Pool whose members cast fixed votes; labels all zero."""
-    from divsel.pool import ModelRecord, build_pool
-    rows = np.asarray(vote_rows, dtype=np.int64)
-    labels = np.zeros(rows.shape[1], dtype=np.int64)
-    models = [ModelRecord(id=i, name=f"m{i}", pred_labels=rows[i])
-              for i in range(rows.shape[0])]
-    return build_pool("votes", num_classes, labels, models)
 
 
 # ------------------------------------------------------------- soft voting
@@ -44,7 +34,7 @@ def test_soft_vote_identical_members_match_single_model():
     labels = rng.integers(0, 5, 40)
     pool = pool_from_probs(labels, [probs, probs.copy(), probs.copy()], num_classes=5)
     pred = predict(team(0, 1, 2), pool, SOFT)
-    np.testing.assert_array_equal(pred.labels, pool.models[0].pred_labels)
+    np.testing.assert_array_equal(pred.labels, pool.preds[0])
 
 
 def test_soft_vote_tie_breaks_to_lowest_class():
@@ -82,18 +72,18 @@ def test_boosting_checks_capability_before_train_indices():
 # -------------------------------------------------- majority and plurality
 
 def test_majority_vote_cases():
-    pool = votes_pool([[1], [1], [2]], num_classes=3)
+    pool = pool_from_votes([[1], [1], [2]], num_classes=3)
     assert predict(team(0, 1, 2), pool, MAJORITY).labels[0] == 1
-    pool = votes_pool([[0], [1], [2]], num_classes=3)
+    pool = pool_from_votes([[0], [1], [2]], num_classes=3)
     assert predict(team(0, 1, 2), pool, MAJORITY).labels[0] == ABSTAIN
-    pool = votes_pool([[0], [0], [1], [1]], num_classes=2)
+    pool = pool_from_votes([[0], [0], [1], [1]], num_classes=2)
     assert predict(team(0, 1, 2, 3), pool, MAJORITY).labels[0] == ABSTAIN
 
 
 def test_plurality_vote_cases():
-    pool = votes_pool([[0], [1], [2]], num_classes=3)
+    pool = pool_from_votes([[0], [1], [2]], num_classes=3)
     assert predict(team(0, 1, 2), pool, PLURALITY).labels[0] == 0  # 3-way tie
-    pool = votes_pool([[1], [1], [2]], num_classes=3)
+    pool = pool_from_votes([[1], [1], [2]], num_classes=3)
     assert predict(team(0, 1, 2), pool, PLURALITY).labels[0] == 1
 
 
@@ -101,7 +91,7 @@ def test_majority_implies_plurality_agreement():
     rng = np.random.default_rng(10)
     for s in (2, 3, 5, 8):
         rows = rng.integers(0, 6, size=(s, 4000))
-        pool = votes_pool(rows, num_classes=6)
+        pool = pool_from_votes(rows, num_classes=6)
         t = team(*range(s))
         maj = predict(t, pool, MAJORITY).labels
         plu = predict(t, pool, PLURALITY).labels
@@ -161,7 +151,7 @@ def test_boosting_weights_more_errors_means_smaller_weight():
         mats.append(p)
     pool = pool_from_probs(labels, mats, num_classes=3)
     w = boosting_weights(team(0, 1, 2), pool, BOOSTING)
-    errors = [int((pool.models[i].pred_labels != labels).sum()) for i in range(3)]
+    errors = [int((pool.preds[i] != labels).sum()) for i in range(3)]
     assert errors[0] < errors[1] < errors[2]
     assert w[0] > w[1] > w[2]
 
@@ -248,7 +238,7 @@ def test_boosting_vote_uniform_weights_equal_soft_vote():
     pool = pool_from_probs(labels, mats, num_classes=5)
     t = team(0, 1, 2, 3)
     # no member errs on the training samples, so every weight is exactly 1/4
-    right = np.flatnonzero(np.all([m.pred_labels == labels for m in pool.models], axis=0))
+    right = np.flatnonzero(np.all(pool.preds == labels, axis=0))
     assert right.size >= 30
     method = ConsensusMethod("boosting", train_indices=right)
     np.testing.assert_array_equal(boosting_weights(t, pool, method), np.full(4, 0.25))
@@ -266,7 +256,7 @@ def test_boosting_vote_degenerate_weights_follow_single_member():
     method = ConsensusMethod("boosting", gamma=-1000.0)
     np.testing.assert_array_equal(boosting_weights(team(0, 1), pool, method), [1.0, 0.0])
     pred = predict(team(0, 1), pool, method)
-    np.testing.assert_array_equal(pred.labels, pool.models[0].pred_labels)
+    np.testing.assert_array_equal(pred.labels, pool.preds[0])
 
 
 def test_boosting_vote_hand_value():
@@ -297,7 +287,7 @@ def test_boosting_vote_scale_invariant_argmax():
     assert len(set(w.tolist())) == 3
     base = predict(t, pool, method).labels
     # scaling all weights by a positive constant cannot move any argmax
-    probs = [pool.models[i].probs for i in t.members]
+    probs = [pool.probs[i].T for i in t.members]
     for scale in (0.1, 3.0, 250.0):
         combined = sum(sw * p for sw, p in zip(w * scale, probs))
         np.testing.assert_array_equal(combined.argmax(axis=1), base)

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from divsel.consensus import METHODS, ConsensusMethod, boosting_weights
 from divsel.evaluation import evaluate_set, evaluate_teams, summarize
-from divsel.pool import ModelRecord, build_pool, correctness
+from divsel.pool import correctness
 from divsel.report import (format_percent, selected_set_from_dict, selected_set_to_dict,
                            set_report_to_dict, set_reports_to_csv, set_reports_to_table)
 from divsel.selection import SelectedSet
 from divsel.synth import SynthConfig, generate_pool
 from divsel.teaming import CandidateSet, enumerate_teams
 
-from conftest import team
+from conftest import pool_from_probs, team
 from oracles import (o_boosting_vote, o_majority_vote, o_plurality_vote, o_soft_vote,
                      o_summarize)
 
@@ -125,16 +125,14 @@ def vote_cases(draw):
     labels_only, perfect = draw(st.booleans()), draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.integers(0, c, n)
-    models = []
+    mats = []
     for i in range(m):
         parts = rng.integers(0, 3, (n, c)).astype(np.float64)
         if perfect and i == 0:
             parts = np.eye(c)[labels]
         parts[parts.sum(axis=1) == 0] = 1.0
-        probs = parts / parts.sum(axis=1, keepdims=True)
-        models.append(ModelRecord(id=i, name=f"m{i}", pred_labels=probs.argmax(axis=1),
-                                  probs=None if labels_only else probs))
-    pool = build_pool("votes", c, labels, models)
+        mats.append(parts / parts.sum(axis=1, keepdims=True))
+    pool = pool_from_probs(labels, mats, c, "votes", labels_only)
     kind = draw(st.sampled_from(("majority", "plurality") if labels_only else METHODS))
     train = None
     if kind == "boosting" and draw(st.booleans()):
@@ -144,9 +142,8 @@ def vote_cases(draw):
 
 
 def _oracle_votes(t, pool, method):
-    preds = [pool.models[i].pred_labels.tolist() for i in t.members]
-    probs = [None if pool.models[i].probs is None else pool.models[i].probs.tolist()
-             for i in t.members]
+    preds = [pool.preds[i].tolist() for i in t.members]
+    probs = [pool.probs[i].T.tolist() if pool.has_probs[i] else None for i in t.members]
     if method.kind == "soft":
         return o_soft_vote(probs)
     if method.kind == "boosting":  # the weights have their own oracle test
@@ -165,8 +162,8 @@ def test_evaluation_matches_vote_and_summary_oracles(case):
     cands = enumerate_teams(pool.num_models)
     evals = evaluate_teams(cands, pool, corr, method, threads=threads)
     labels = pool.labels.tolist()
-    member_acc = [sum(p == y for p, y in zip(m.pred_labels.tolist(), labels)) / len(labels)
-                  for m in pool.models]
+    member_acc = [sum(p == y for p, y in zip(row.tolist(), labels)) / len(labels)
+                  for row in pool.preds]
     rows = []
     for t, ev in zip(cands, evals):
         votes = _oracle_votes(t, pool, method)
