@@ -1,12 +1,12 @@
 """Consensus algorithms combining member predictions into a team prediction.
 
-``predict`` runs the four methods a ``ConsensusMethod`` names: soft
-voting (probability averaging), majority voting (more than half the
-votes, else abstain), plurality voting (most votes, never abstains) and
-boosting voting (weighted soft voting with weights learned by penalizing
-training errors).  All tie-breaks pick the lowest class index;
-abstention is encoded as ABSTAIN (-1) and always counts as an incorrect
-prediction.
+``predict`` votes one team by one of the four methods a ``ConsensusMethod``
+names: soft voting (probability averaging), majority voting (more than
+half the votes, else abstain), plurality voting (most votes, never
+abstains) and boosting voting (weighted soft voting with weights learned
+by penalizing training errors); ``evaluation.evaluate_teams`` must agree
+with it exactly.  All tie-breaks pick the lowest class index; abstention
+is encoded as ABSTAIN (-1) and always counts as an incorrect prediction.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def ensemble_accuracy(pred: EnsemblePrediction, labels: np.ndarray) -> float:
 
 def predict(team: EnsembleTeam, pool: PredictionPool,
             method: ConsensusMethod) -> EnsemblePrediction:
-    """Run the chosen consensus method on a team; the only code that votes."""
+    """Run the chosen consensus method on a team: the reference vote, and the
+    only one for boosting."""
     if method.kind in ("majority", "plurality"):
         counts = np.zeros((pool.num_samples, pool.num_classes), dtype=np.int64)
         rows = np.arange(pool.num_samples)

@@ -163,9 +163,10 @@ def test_tracer_spans_one_vote_per_candidate_under_evaluate_teams():
     got = json.loads(proc.stdout)
     k = got["candidates"]
     assert k == 11
-    # soft and majority on 1 thread, boosting and plurality on 2: every
-    # method votes through the spanned predict, nested in its call, and each
-    # boosting vote learns its weights once, in its own predict span
-    assert got == {"candidates": k, "predicts": 4 * k, "per_call": [k, k, k, k],
+    # soft and majority on 1 thread, boosting and plurality on 2: only
+    # boosting votes each team through the spanned predict, nested in its
+    # call (the other three walk the prefix trie inside evaluate_teams), and
+    # each boosting vote learns its weights once, in its own predict span
+    assert got == {"candidates": k, "predicts": k, "per_call": [0, k, 0, 0],
                    "weights_per_call": [0, k, 0, 0], "weights_in_predicts": k,
                    "weights_s": True}

@@ -1,14 +1,17 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from divsel.consensus import METHODS, ConsensusMethod, boosting_weights
+from divsel.consensus import (METHODS, ConsensusMethod, boosting_weights, ensemble_accuracy,
+                              predict)
 from divsel.evaluation import evaluate_set, evaluate_teams, summarize
-from divsel.pool import correctness
+from divsel.errors import CapabilityError
+from divsel.pool import build_pool, correctness
 from divsel.report import (format_percent, selected_set_from_dict, selected_set_to_dict,
                            set_report_to_dict, set_reports_to_csv, set_reports_to_table)
 from divsel.selection import SelectedSet
@@ -115,6 +118,22 @@ def test_threads_do_not_change_results(small_pool):
     assert r1 == r8
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_soft_names_the_first_candidate_holding_a_labels_only_model(threads):
+    rng = np.random.default_rng(3)
+    probs = rng.random((4, 3, 20))
+    pool = build_pool("mixed", 3, rng.integers(0, 3, 20), probs.argmax(axis=1), probs,
+                      has_probs=[True, True, False, False])
+    cands = CandidateSet.of([team(0, 1), team(1, 3), team(2, 3), team(0, 2)], 4)
+    with pytest.raises(CapabilityError) as exc:
+        evaluate_teams(cands, pool, correctness(pool), SOFT, threads=threads)
+    # the error predict raises for the first such candidate in candidate order
+    with pytest.raises(CapabilityError) as ref:
+        predict(team(1, 3), pool, SOFT)
+    assert str(exc.value) == str(ref.value) == (
+        "soft voting needs prediction probabilities, but model(s) [3] carry labels only")
+
+
 @st.composite
 def vote_cases(draw):
     """A pool of 3-6 models, 5-60 samples and 2-4 classes, a consensus method,
@@ -191,6 +210,71 @@ def test_evaluation_matches_vote_and_summary_oracles(case):
                 assert got[key] == pytest.approx(value, abs=1e-12), key
             else:
                 assert got[key] == value, key
+
+
+@st.composite
+def divide_tie_cases(draw):
+    """A pool of S + 1 models (S = 3, 5, 6 or 7), 6-40 samples and 2-4 classes.
+    Sample k takes its true class y and a rival r from a random pair, with
+    y < r for even k.  In the team of the first S models, the summed y and r
+    probabilities of a sample k = 0 (mod 3) differ but are equal after
+    predict's /S; for k = 1 they are equal before it; otherwise every
+    probability is random.  Model S is random throughout."""
+    s, c, n = (draw(st.sampled_from((3, 5, 6, 7))), draw(st.integers(2, 4)),
+               draw(st.integers(6, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.random((s + 1, n, c))
+    labels = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        y, r = sorted(rng.choice(c, 2, replace=False).tolist())
+        labels[k] = y if k % 2 == 0 else r
+        if k % 3 == 2:
+            continue
+        for _ in range(10_000):  # 2-5% of the k = 0 draws tie after the divide
+            top = rng.uniform(0.05, 0.5, s)
+            rival = top.copy()
+            if k % 3 == 0:  # the last member's rival moves 1-3 ulps
+                for _ in range(rng.integers(1, 4)):
+                    rival[-1] = math.nextafter(rival[-1], rng.choice((0.0, 1.0)))
+            true_sum = rival_sum = 0.0
+            for a, b in zip(top, rival):  # predict's adds, in member order
+                true_sum, rival_sum = true_sum + a, rival_sum + b
+            if (true_sum != rival_sum) == (k % 3 == 0) and true_sum / s == rival_sum / s:
+                break
+        else:
+            raise AssertionError("no tie found")
+        mats[:s, k] = rng.uniform(0.0, 0.01, (s, c))  # below every y or r term
+        mats[:s, k, labels[k]], mats[:s, k, y + r - labels[k]] = top, rival
+    return pool_from_probs(labels, mats, c, "divide-ties"), s
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=divide_tie_cases(), data=st.data())
+def test_lattice_keeps_the_ties_of_the_soft_divide(case, data):
+    pool, s = case
+    total = np.zeros_like(pool.probs[0])
+    for i in range(s):
+        total += pool.probs[i]
+    cols = np.arange(pool.num_samples)
+    t = total[pool.labels, cols]
+    total[pool.labels, cols] = -np.inf
+    o = total.max(axis=0)
+    # the divide ties unequal sums, with the true class both below and above its rival
+    divided = (t != o) & (t / s == o / s)
+    assert {bool(x) for x in pool.labels[divided] > total.argmax(axis=0)[divided]} == {
+        False, True}
+    corr = correctness(pool)
+    full = enumerate_teams(pool.num_models)
+    picks = data.draw(st.lists(st.integers(0, len(full) - 1), min_size=1, max_size=8))
+    # reordered, of mixed sizes, and holding the S-member team three times
+    mixed = CandidateSet.of([team(*range(s)), *(full.teams[k] for k in picks),
+                             team(*range(s)), team(0, s), team(*range(s))], pool.num_models)
+    for kind in ("soft", "plurality", "majority"):
+        method = ConsensusMethod(kind)
+        for cands in (full, mixed):
+            assert [e.ensemble_accuracy for e in evaluate_teams(cands, pool, corr, method)] == [
+                ensemble_accuracy(predict(t, pool, method), pool.labels) for t in cands.teams]
 
 
 # --------------------------------------------------------------- rendering
